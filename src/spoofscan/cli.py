@@ -69,8 +69,10 @@ def cmd_search(args) -> int:
         now = time.monotonic()
         if now - last_report[0] >= 0.5 or done == total:
             rate = done / max(now - started, 1e-9)
+            eta = round((total - done) / rate)
             print(
-                f"segment {done}/{total}, {rate:.1f} segments/s, {found} members",
+                f"segment {done}/{total}, {rate:.1f} segments/s, {found} members, "
+                f"ETA {eta // 3600}:{eta // 60 % 60:02d}:{eta % 60:02d}",
                 file=sys.stderr,
             )
             last_report[0] = now

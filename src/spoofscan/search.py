@@ -32,6 +32,7 @@ from .membership import MemberRecord, ProductClass, classify_witness
 from .sieve import MAX_SPAN, DEFAULT_SPAN, sigma_segment
 
 __all__ = [
+    "MAX_LIMIT",
     "SearchConfig",
     "Checkpoint",
     "IntegrityError",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 RESULTS_MAGIC = "#spoofscan v1"
+# Largest search bound: 2n and sigma(n) stay far below 2^63 in the int64
+# kernels, and the prime table up to sqrt(limit) holds ~1.9M primes.
+MAX_LIMIT = 10**15
 
 
 class IntegrityError(RuntimeError):
@@ -57,8 +61,8 @@ class SearchConfig:
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
+        if not 1 <= self.limit <= MAX_LIMIT:
+            raise ValueError(f"limit must be in [1, {MAX_LIMIT}], got {self.limit}")
         if not 1024 <= self.segment_span <= MAX_SPAN:
             raise ValueError(
                 f"segment_span must be in [1024, {MAX_SPAN}], got {self.segment_span}"
@@ -80,17 +84,19 @@ def _total_slots(limit: int) -> int:
 
 def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
     """(n, sigma, x) for every member in [lo, hi)."""
-    seg = sigma_segment(lo, hi, primes)
-    sig = seg.values
-    n = np.arange(lo, hi, 2, dtype=np.int64)
-    d = 2 * n - sig
-    candidates = np.nonzero(d > 0)[0]
-    hits = candidates[sig[candidates] % d[candidates] == 0]
+    sig = sigma_segment(lo, hi, primes).values
+    # one scratch array: d = 2n - sigma, then sigma mod d on deficient slots
+    d = np.arange(lo, hi, 2, dtype=np.int64)
+    d *= 2
+    d -= sig
+    deficient = d > 0
+    np.remainder(sig, d, out=d, where=deficient)
+    hits = np.flatnonzero(d == 0)
     out = []
-    for i in hits.tolist():
-        ni = int(n[i])
-        si = int(sig[i])
-        out.append((ni, si, si // (2 * ni - si)))
+    for i in hits[deficient[hits]].tolist():
+        n = lo + 2 * i
+        s = int(sig[i])
+        out.append((n, s, s // (2 * n - s)))
     return out
 
 

@@ -8,15 +8,24 @@ multiplies the partial sigma by 1 + p + ... + p^e. Whatever cofactor is
 left afterwards is either 1 or a single prime q > sqrt(hi - 1), which
 contributes q + 1. The prime 2 never divides an odd n and is skipped.
 
-Two interchangeable kernels implement this: a numba @njit loop (default
-when numba imports) and a pure-numpy strided version. Select explicitly
-with SPOOFSCAN_BACKEND=numba|numpy. benchmarks/bench_sieve.py compares
-the two.
+The odd primes split into two bands by how often they hit a segment of
+m odd slots. A dense prime (p < m / DENSE_HITS, so at least DENSE_HITS
+odd multiples) gets one strided pass per prime power: a handful of numpy
+calls, each touching many slots with no index arrays, so the strided
+pass wins. A sparse prime would pay the same handful of calls for a few
+slots, so the whole sparse band is applied at once as a list of (slot,
+prime) hits, built in chunks and applied with ufunc.at (the bucket sieve
+of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014)); its cost
+per hit is flat but a few times that of a strided pass. At ~128 hits per
+segment the per-call overhead of a strided pass is a small share of its
+work, so the two costs meet near there. On 2^20-slot segments near 10^8
+and 10^12 the segment time is flat within noise for boundaries from 32
+to 2048 hits; near 10^12 the sparse band holds ~77k of the ~78k sieving
+primes and costs ~45 ms of a ~150 ms segment.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import isqrt
 
@@ -30,12 +39,10 @@ __all__ = ["SigmaSegment", "sigma_segment", "active_backend", "DEFAULT_SPAN", "M
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
+# band boundary: primes with fewer odd multiples per segment are scattered
+DENSE_HITS = 128
+# (slot, prime) pairs built at once for the sparse band
+SCATTER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,13 +67,13 @@ class SigmaSegment:
         return int(self.values[(n - self.lo) // 2])
 
 
-def _fill_sigma_numpy(lo: int, hi: int, primes: np.ndarray, cof: np.ndarray, sig: np.ndarray) -> None:
+def _fill_sigma(lo: int, hi: int, primes: np.ndarray, cof: np.ndarray, sig: np.ndarray) -> None:
     m = len(cof)
-    for p in primes.tolist():
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
+    top = np.searchsorted(primes, isqrt(hi - 1), side="right")
+    primes = primes[np.searchsorted(primes, 3) : top]
+    split = np.searchsorted(primes, -(-m // DENSE_HITS))
+    # dense band: strided passes, one per prime power
+    for p in primes[:split].tolist():
         first = ((lo + p - 1) // p) * p
         if first % 2 == 0:
             first += p
@@ -90,53 +97,47 @@ def _fill_sigma_numpy(lo: int, hi: int, primes: np.ndarray, cof: np.ndarray, sig
             cof[ie::pe] //= p
             pe *= p
         sig[i0::p] *= geo
-    leftover = cof > 1
-    sig[leftover] *= cof[leftover] + 1
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _fill_sigma_numba(lo, hi, primes, cof, sig):  # pragma: no cover - jitted
-        m = cof.shape[0]
-        for k in range(primes.shape[0]):
-            p = primes[k]
-            if p == 2:
-                continue
-            if p * p >= hi:
-                break
-            first = ((lo + p - 1) // p) * p
-            if first % 2 == 0:
-                first += p
-            if first >= hi:
-                continue
-            for i in range((first - lo) // 2, m, p):
-                c = cof[i] // p
-                pe = p
-                geo = 1 + p
-                while c % p == 0:
-                    c //= p
-                    pe *= p
-                    geo += pe
-                cof[i] = c
-                sig[i] *= geo
-        for i in range(m):
-            if cof[i] > 1:
-                sig[i] *= cof[i] + 1
+    # sparse band: one (slot, prime) pair per odd multiple, in chunks of
+    # whole primes; ufunc.at applies every pair even when primes share a slot
+    primes = primes[split:]
+    first = (lo + primes - 1) // primes * primes
+    first += primes * (1 - first % 2)
+    i0 = (first - lo) // 2
+    cnt = np.maximum((m - i0 + primes - 1) // primes, 0)
+    ends = np.cumsum(cnt)
+    a = 0
+    while a < len(primes):
+        base = int(ends[a - 1]) if a else 0
+        # a sparse prime has at most DENSE_HITS pairs, so every chunk holds one
+        b = int(np.searchsorted(ends, base + SCATTER_CHUNK, side="right"))
+        runs = cnt[a:b]
+        pair_p = np.repeat(primes[a:b], runs)
+        step = np.arange(len(pair_p), dtype=np.int64)
+        step -= np.repeat(ends[a:b] - runs - base, runs)
+        idx = np.repeat(i0[a:b], runs)
+        idx += step * pair_p
+        np.floor_divide.at(cof, idx, pair_p)
+        geo = pair_p + 1
+        # pairs whose slot holds p^2: divide again until p no longer divides
+        sel = np.flatnonzero(cof[idx] % pair_p == 0)
+        power = pair_p[sel]
+        while len(sel):
+            q = pair_p[sel]
+            np.floor_divide.at(cof, idx[sel], q)
+            power *= q
+            geo[sel] += power
+            more = cof[idx[sel]] % q == 0
+            sel, power = sel[more], power[more]
+        np.multiply.at(sig, idx, geo)
+        a = b
+    # the leftover cofactor is 1 or a prime q > sqrt(hi - 1), giving q + 1
+    np.add(cof, 1, out=cof, where=cof > 1)
+    sig *= cof
 
 
 def active_backend() -> str:
-    """Kernel selected by SPOOFSCAN_BACKEND, defaulting to numba when present."""
-    choice = os.environ.get("SPOOFSCAN_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("SPOOFSCAN_BACKEND=numba but numba is not installed")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown SPOOFSCAN_BACKEND {choice!r} (use 'numba' or 'numpy')")
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the sieve kernel."""
+    return "numpy"
 
 
 def _check_prime_cover(primes: np.ndarray, hi: int) -> None:
@@ -174,8 +175,5 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
 
     cof = np.arange(lo, hi, 2, dtype=np.int64)
     sig = np.ones(slots, dtype=np.int64)
-    if active_backend() == "numba":
-        _fill_sigma_numba(lo, hi, primes, cof, sig)
-    else:
-        _fill_sigma_numpy(lo, hi, primes, cof, sig)
+    _fill_sigma(lo, hi, primes, cof, sig)
     return SigmaSegment(lo=lo, hi=hi, values=sig)

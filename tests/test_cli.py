@@ -1,4 +1,5 @@
 from spoofscan.cli import main
+from spoofscan.search import MAX_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,29 @@ def test_search_rejects_zero_limit(tmp_path, capsys):
     )
     assert code == 1
     assert "limit" in err
+
+
+def test_search_rejects_limit_above_bound(tmp_path, capsys):
+    out_path = tmp_path / "r.txt"
+    code, out, err = run_cli(
+        capsys, "search", "--limit", str(MAX_LIMIT + 1), "--out", str(out_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert f"limit must be in [1, {MAX_LIMIT}]" in err
+    assert not out_path.exists()
+
+
+def test_search_progress_has_eta(tmp_path, capsys):
+    out_path = tmp_path / "r.txt"
+    code, out, err = run_cli(
+        capsys, "search", "--limit", "100000", "--segment-size", "4096", "--out", str(out_path)
+    )
+    assert code == 0
+    assert out == f"found 28 members up to 100000\nresults written to {out_path}\n"
+    last = err.splitlines()[-1]
+    assert last.startswith("segment 13/13, ")
+    assert last.endswith(", 28 members, ETA 0:00:00")
 
 
 def test_search_threads_deterministic(tmp_path, capsys):

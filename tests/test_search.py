@@ -1,15 +1,23 @@
+from math import isqrt
+
+import numpy as np
 import pytest
 
-from spoofscan.membership import ProductClass, membership_bruteforce
+from spoofscan import search
+from spoofscan.arith import sieve_primes, sigma_single
+from spoofscan.membership import ProductClass, check_membership, membership_bruteforce
 from spoofscan.search import (
+    MAX_LIMIT,
     Checkpoint,
     IntegrityError,
     SearchConfig,
     read_checkpoint,
     read_results,
     resume,
+    _scan_segment,
     search_range,
 )
+from spoofscan.sieve import SigmaSegment
 
 
 def run(tmp_path, name="out.txt", **kwargs):
@@ -71,6 +79,34 @@ def test_config_validation(tmp_path):
         SearchConfig(limit=10, results_path=tmp_path / "x.txt", worker_count=0)
     with pytest.raises(ValueError):
         SearchConfig(limit=10, results_path=tmp_path / "x.txt", segment_span=512)
+
+
+@pytest.mark.parametrize("lo", [1, 945])
+def test_scan_segment_matches_membership(lo):
+    hi = lo + 2 * 1024
+    sigmas = {n: sigma_single(n) for n in range(lo, hi, 2)}
+    assert any(s >= 2 * n for n, s in sigmas.items())  # abundant slots, d <= 0
+    expected = []
+    for n, s in sigmas.items():
+        x = check_membership(n, s)
+        if x is not None:
+            expected.append((n, s, x))
+    assert expected
+    assert _scan_segment(lo, hi, sieve_primes(isqrt(hi))) == expected
+
+
+def test_scan_segment_skips_perfect_and_abundant_slots(monkeypatch):
+    # sigma = 2n (d = 0) and an abundant slot whose -d divides sigma are no members
+    fake = np.array([2, 4, 20, 8, 13], dtype=np.int64)
+    monkeypatch.setattr(search, "sigma_segment", lambda lo, hi, primes: SigmaSegment(lo, hi, fake))
+    assert _scan_segment(1, 11, None) == [(3, 4, 2)]
+
+
+def test_limit_bound(tmp_path):
+    assert MAX_LIMIT >= 10**12
+    SearchConfig(limit=MAX_LIMIT, results_path=tmp_path / "x.txt")
+    with pytest.raises(ValueError, match="limit"):
+        SearchConfig(limit=MAX_LIMIT + 1, results_path=tmp_path / "x.txt")
 
 
 def test_checkpoint_written_and_complete(tmp_path):

@@ -1,8 +1,18 @@
+from math import isqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spoofscan.arith import sieve_primes, sigma_single
-from spoofscan.sieve import MAX_SPAN, SigmaSegment, sigma_segment
+from spoofscan.arith import is_prime, sieve_primes, sigma_single
+from spoofscan.sieve import DENSE_HITS, MAX_SPAN, SigmaSegment, sigma_segment
+
+
+@pytest.fixture(scope="module")
+def primes_1e6():
+    # covers sqrt(hi - 1) for every segment below 10**12 + 2**18
+    return sieve_primes(10**6 + 1000)
 
 
 def test_first_odd_values():
@@ -51,20 +61,64 @@ def test_concatenation_equals_whole():
     assert np.array_equal(np.concatenate([left.values, right.values]), whole.values)
 
 
-def test_backends_agree(monkeypatch):
-    pytest.importorskip("numba")
-    primes = sieve_primes(4000)
-    monkeypatch.setenv("SPOOFSCAN_BACKEND", "numba")
-    jit = sigma_segment(10**7 + 1, 10**7 + 200001, primes)
-    monkeypatch.setenv("SPOOFSCAN_BACKEND", "numpy")
-    plain = sigma_segment(10**7 + 1, 10**7 + 200001, primes)
-    assert np.array_equal(jit.values, plain.values)
+def _check_around(n, span, primes):
+    """The segment of `span` odd slots centred on odd n; checks sigma(n)."""
+    lo, hi = n - span, n + span
+    seg = sigma_segment(lo, hi, primes)
+    assert seg.sigma_of(n) == sigma_single(n), n
+    return isqrt(hi - 1)
 
 
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv("SPOOFSCAN_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        sigma_segment(1, 11, sieve_primes(3))
+@pytest.mark.parametrize(
+    "p, k, span",
+    [
+        (997, 1, 1 << 10),  # 997^2 = 994009
+        (11, 11 * 11 * 67, 1 << 10),  # 11^4 * 67, a higher power in the sparse band
+        (999983, 1, 1 << 16),  # the largest prime below 10^6, squared
+        (521, 521 * 7071, 1 << 16),  # 521^3 * 7071
+    ],
+)
+def test_sparse_band_prime_square(p, k, span, primes_1e6):
+    assert p * DENSE_HITS >= span
+    _check_around(p * p * k, span, primes_1e6)
+
+
+@pytest.mark.parametrize(
+    "n, span",
+    [
+        (999999, 1 << 10),  # 3^3 * 7 * 11 * 13 * 37
+        (1002001, 1 << 10),  # 7^2 * 11^2 * 13^2: two sparse squares in one slot
+        (521**2 * 523**2 * 13, 1 << 16),
+        (523 * 541 * 547 * 3 * 1171, 1 << 16),
+    ],
+)
+def test_sparse_band_primes_share_a_slot(n, span, primes_1e6):
+    # a fancy-index update of sig or cof would drop all but one prime here
+    _check_around(n, span, primes_1e6)
+
+
+@pytest.mark.parametrize("p, q, span", [(997, 1009, 1 << 10), (999983, 1000003, 1 << 16)])
+def test_leftover_prime_just_above_root(p, q, span, primes_1e6):
+    # consecutive primes: p is the last sieving prime, q is left in the cofactor
+    assert is_prime(p) and is_prime(q) and not any(is_prime(r) for r in range(p + 2, q, 2))
+    bound = _check_around(p * q, span, primes_1e6)
+    assert p <= bound < q
+
+
+# lo has 6 to 12 digits; every slot stays within sigma_single's bound 10**12
+_odd_lo = st.integers(6, 12).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - (1 << 17)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    lo=_odd_lo.map(lambda v: v | 1),
+    span=st.integers(1024, 1 << 16),
+    picks=st.lists(st.integers(0, (1 << 16) - 1), min_size=1, max_size=6),
+)
+def test_matches_sigma_single_random_segments(lo, span, picks, primes_1e6):
+    seg = sigma_segment(lo, lo + 2 * span, primes_1e6)
+    for i in {pick % span for pick in picks} | {0, span - 1}:
+        assert seg.values[i] == sigma_single(lo + 2 * i), (lo, span, i)
 
 
 def test_rejects_even_or_inverted_bounds():
