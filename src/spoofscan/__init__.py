@@ -25,7 +25,7 @@ from .membership import (
     classify_witness,
     membership_bruteforce,
 )
-from .sieve import SigmaSegment, active_backend, sigma_segment
+from .sieve import SigmaSegment, sigma_segment
 from .spoof import (
     ParseError,
     QuasiPrimeFactorization,
@@ -74,7 +74,6 @@ __all__ = [
     "classify_witness",
     "membership_bruteforce",
     "SigmaSegment",
-    "active_backend",
     "sigma_segment",
     "ParseError",
     "QuasiPrimeFactorization",

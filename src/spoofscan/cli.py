@@ -3,7 +3,8 @@
 Subcommands: search, check, spoof-check, verify-descartes, analyze,
 fit, density, compare. Machine-readable output goes to stdout and is
 stable across runs; progress and diagnostics go to stderr. Exit codes:
-0 success, 1 domain or validation error, 2 I/O error.
+0 success, 1 domain or validation error, 2 I/O error, 130 search
+interrupted by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -77,10 +78,15 @@ def cmd_search(args) -> int:
             )
             last_report[0] = now
 
-    if args.resume:
-        records = resume(config, progress=progress)
-    else:
-        records = search_range(config, progress=progress)
+    try:
+        if args.resume:
+            records = resume(config, progress=progress)
+        else:
+            records = search_range(config, progress=progress)
+    except KeyboardInterrupt:
+        hint = "; resume with --resume" if args.checkpoint else ""
+        print(f"search interrupted{hint}", file=sys.stderr)
+        return 130
     print(f"found {len(records)} members up to {args.limit}")
     print(f"results written to {args.out}")
     return 0

@@ -3,9 +3,15 @@
 Work is split into segments of `segment_span` odd slots. Workers compute
 sigma for a segment (sieve kernel) and scan it for members; a single
 in-order writer appends member lines to the results file, so the output
-bytes are identical for any worker count or segment span. A checkpoint
-is written after every `checkpoint_every` flushed segments, making an
-interrupted run resumable with no loss beyond the last checkpoint.
+bytes are identical for any worker count or segment span. Segments are
+submitted lazily, at most WINDOW_PER_WORKER x worker_count ahead of the
+segment the writer is on, so memory stays bounded at any limit. Every
+CHECKPOINT_EVERY segments the writer appends the member lines held since
+the last checkpoint, flushes them and then renames the new checkpoint
+into place. So the results file never holds lines past the checkpoint,
+and a run stopped by Ctrl-C or an error resumes with no loss beyond the
+last checkpoint (a kill between the flush and the rename is not yet
+covered).
 
 Results file v1 (text, LF, ASCII decimal):
 
@@ -19,6 +25,7 @@ lines ascending in n. Checkpoint file v1 is three lines: "limit=<v>",
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -46,6 +53,12 @@ RESULTS_MAGIC = "#spoofscan v1"
 # Largest search bound: 2n and sigma(n) stay far below 2^63 in the int64
 # kernels, and the prime table up to sqrt(limit) holds ~1.9M primes.
 MAX_LIMIT = 10**15
+# segments flushed between checkpoints
+CHECKPOINT_EVERY = 64
+# segments submitted ahead of the writer, per worker: the writer needs the
+# GIL to refill the window, and CPython may hold it from the writer for its
+# 5 ms switch interval, which is ~7 segments of 4096 slots
+WINDOW_PER_WORKER = 8
 
 
 class IntegrityError(RuntimeError):
@@ -76,10 +89,6 @@ class Checkpoint:
     limit: int
     next_lo: int
     found_count: int
-
-
-def _total_slots(limit: int) -> int:
-    return (limit + 1) // 2
 
 
 def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
@@ -160,68 +169,67 @@ def read_results(path: str | Path) -> tuple[int, list[MemberRecord]]:
     return limit, records
 
 
-def _run_segments(
+def _run(
     config: SearchConfig,
-    primes: np.ndarray,
     first_slot: int,
-    fh,
-    found_so_far: int,
-    *,
-    checkpoint_every: int,
+    found: int,
     stop_after_segments: int | None,
     progress: Callable[[int, int, int], None] | None,
 ) -> list[MemberRecord]:
-    total = _total_slots(config.limit)
-    span = config.segment_span
-    bounds = []
-    slot = first_slot
-    while slot < total:
-        end = min(slot + span, total)
-        bounds.append((1 + 2 * slot, 1 + 2 * end))
-        slot = end
+    """Scan from odd slot first_slot on, appending member lines to the results file."""
+    primes = sieve_primes(isqrt(config.limit))
+    total = (config.limit + 1) // 2
+    starts = range(first_slot, total, config.segment_span)
     records: list[MemberRecord] = []
-    found = found_so_far
-    done = 0
+    lines: list[str] = []
+
+    def in_order(pool):
+        window = deque()
+        for slot in starts:
+            hi = 1 + 2 * min(slot + config.segment_span, total)
+            window.append((hi, pool.submit(_scan_segment, 1 + 2 * slot, hi, primes)))
+            if len(window) > WINDOW_PER_WORKER * config.worker_count:
+                yield window.popleft()
+        yield from window
 
     def checkpoint_now(next_lo: int) -> None:
+        # member lines reach the file only here, flushed before the checkpoint
+        # names them, so an interrupted run never leaves lines past it
+        fh.write("".join(lines))
         fh.flush()
+        lines.clear()
         if config.checkpoint_path is not None:
             _write_checkpoint(
                 config.checkpoint_path, Checkpoint(config.limit, next_lo, found)
             )
 
-    with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-        futures = [pool.submit(_scan_segment, lo, hi, primes) for lo, hi in bounds]
-        try:
-            for (_, hi), future in zip(bounds, futures):
-                lines = []
+    last = len(starts)
+    if stop_after_segments is not None:
+        last = min(last, stop_after_segments)
+    pool = ThreadPoolExecutor(max_workers=config.worker_count)
+    try:
+        with open(config.results_path, "a", encoding="ascii", newline="\n") as fh:
+            for done, (hi, future) in enumerate(in_order(pool), start=1):
                 for n, sigma_n, x in future.result():
                     rec = _record_for(n, sigma_n, x)
                     records.append(rec)
                     lines.append(f"{rec.n}\t{rec.x}\t{rec.product_class.value}\n")
-                found += len(lines)
-                if lines:
-                    fh.write("".join(lines))
-                done += 1
-                if done % checkpoint_every == 0:
+                    found += 1
+                if done >= last or done % CHECKPOINT_EVERY == 0:
                     checkpoint_now(hi)
                 if progress is not None:
-                    progress(done, len(bounds), found)
-                if stop_after_segments is not None and done >= stop_after_segments:
-                    checkpoint_now(hi)
-                    return records
-        finally:
-            # drop queued segments when returning early or unwinding on error
-            for future in futures:
-                future.cancel()
-    checkpoint_now(1 + 2 * total)
+                    progress(done, len(starts), found)
+                if done >= last:
+                    break
+    finally:
+        # drop queued segments when stopping early or unwinding on error
+        pool.shutdown(cancel_futures=True)
     return records
 
 
 def search_range(
     config: SearchConfig,
     *,
-    checkpoint_every: int = 64,
     stop_after_segments: int | None = None,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[MemberRecord]:
@@ -231,25 +239,15 @@ def search_range(
     stops cleanly (checkpoint written) after that many segments, which
     tests use to simulate an interrupted run.
     """
-    primes = sieve_primes(isqrt(config.limit))
-    with open(config.results_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{RESULTS_MAGIC} limit={config.limit}\n")
-        return _run_segments(
-            config,
-            primes,
-            first_slot=0,
-            fh=fh,
-            found_so_far=0,
-            checkpoint_every=checkpoint_every,
-            stop_after_segments=stop_after_segments,
-            progress=progress,
-        )
+    Path(config.results_path).write_text(
+        f"{RESULTS_MAGIC} limit={config.limit}\n", encoding="ascii", newline="\n"
+    )
+    return _run(config, 0, 0, stop_after_segments, progress)
 
 
 def resume(
     config: SearchConfig,
     *,
-    checkpoint_every: int = 64,
     stop_after_segments: int | None = None,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[MemberRecord]:
@@ -283,16 +281,6 @@ def resume(
         raise IntegrityError("results file contains records beyond the checkpoint")
     if cp.next_lo > config.limit:
         return prior
-    primes = sieve_primes(isqrt(config.limit))
-    with open(config.results_path, "a", encoding="ascii", newline="\n") as fh:
-        new = _run_segments(
-            config,
-            primes,
-            first_slot=(cp.next_lo - 1) // 2,
-            fh=fh,
-            found_so_far=cp.found_count,
-            checkpoint_every=checkpoint_every,
-            stop_after_segments=stop_after_segments,
-            progress=progress,
-        )
-    return prior + new
+    return prior + _run(
+        config, (cp.next_lo - 1) // 2, cp.found_count, stop_after_segments, progress
+    )

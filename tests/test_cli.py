@@ -1,3 +1,6 @@
+import pytest
+
+from spoofscan import cli
 from spoofscan.cli import main
 from spoofscan.search import MAX_LIMIT
 
@@ -264,3 +267,21 @@ def test_idempotent_stdout(tmp_path, capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "checkpoint, message",
+    [(False, "search interrupted\n"), (True, "search interrupted; resume with --resume\n")],
+)
+def test_search_ctrl_c_exits_130(tmp_path, capsys, monkeypatch, checkpoint, message):
+    def interrupted(config, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "search_range", interrupted)
+    extra = ["--checkpoint", str(tmp_path / "cp.txt")] if checkpoint else []
+    code, out, err = run_cli(
+        capsys, "search", "--limit", "100000", "--out", str(tmp_path / "r.txt"), *extra
+    )
+    assert code == 130
+    assert out == ""
+    assert err == message

@@ -1,3 +1,4 @@
+import time
 from math import isqrt
 
 import numpy as np
@@ -218,3 +219,65 @@ def test_checkpoint_round_trip(tmp_path):
     path.write_text("limit=100\n")
     with pytest.raises(IntegrityError):
         read_checkpoint(path)
+
+
+def test_ctrl_c_leaves_resumable_pair(tmp_path):
+    full = SearchConfig(limit=10**6, results_path=tmp_path / "full.txt", segment_span=1024)
+    search_range(full)
+    config = SearchConfig(
+        limit=10**6,
+        results_path=tmp_path / "part.txt",
+        checkpoint_path=tmp_path / "cp.txt",
+        segment_span=1024,
+        worker_count=2,
+    )
+
+    def interrupt(done, total, found):
+        if done == 200:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        search_range(config, progress=interrupt)
+    cp = read_checkpoint(config.checkpoint_path)
+    assert cp.next_lo == 1 + 2 * 192 * 1024  # the last checkpoint before segment 200
+    assert len(read_results(config.results_path)[1]) == cp.found_count
+    resume(config)
+    assert (tmp_path / "part.txt").read_bytes() == (tmp_path / "full.txt").read_bytes()
+
+
+def test_in_flight_window_is_bounded(tmp_path, monkeypatch):
+    workers = 2
+    started = []
+    violations = []
+
+    def scan(lo, hi, primes):
+        started.append(lo)
+        return []
+
+    def progress(done, total, found):
+        if len(started) > done + search.WINDOW_PER_WORKER * workers:
+            violations.append((done, len(started)))
+        if done == 1:
+            time.sleep(0.2)  # let the workers drain whatever has been submitted
+
+    monkeypatch.setattr(search, "_scan_segment", scan)
+    config = SearchConfig(
+        limit=10**6, results_path=tmp_path / "out.txt", segment_span=1024, worker_count=workers
+    )
+    search_range(config, progress=progress)
+    assert len(started) == 489
+    assert violations == []
+
+
+def test_memory_bounded_at_max_limit(tmp_path):
+    config = SearchConfig(
+        limit=MAX_LIMIT,
+        results_path=tmp_path / "out.txt",
+        checkpoint_path=tmp_path / "cp.txt",
+        segment_span=1024,
+        worker_count=2,
+    )
+    records = search_range(config, stop_after_segments=2)
+    assert records == membership_bruteforce(4095)
+    assert len(records) == 11 and records[-1].n == 2295
+    assert read_checkpoint(config.checkpoint_path) == Checkpoint(MAX_LIMIT, 4097, 11)
