@@ -36,7 +36,7 @@ import numpy as np
 
 from .arith import sieve_primes
 from .membership import MemberRecord, ProductClass, classify_witness
-from .sieve import MAX_SPAN, DEFAULT_SPAN, sigma_segment
+from .sieve import MAX_SPAN, DEFAULT_SPAN, member_slots, sigma_segment
 
 __all__ = [
     "MAX_LIMIT",
@@ -93,18 +93,11 @@ class Checkpoint:
 
 def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
     """(n, sigma, x) for every member in [lo, hi)."""
-    sig = sigma_segment(lo, hi, primes).values
-    # one scratch array: d = 2n - sigma, then sigma mod d on deficient slots
-    d = np.arange(lo, hi, 2, dtype=np.int64)
-    d *= 2
-    d -= sig
-    deficient = d > 0
-    np.remainder(sig, d, out=d, where=deficient)
-    hits = np.flatnonzero(d == 0)
+    seg = sigma_segment(lo, hi, primes)
     out = []
-    for i in hits[deficient[hits]].tolist():
+    for i in member_slots(seg).tolist():
         n = lo + 2 * i
-        s = int(sig[i])
+        s = int(seg.values[i])
         out.append((n, s, s // (2 * n - s)))
     return out
 

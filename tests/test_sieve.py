@@ -5,14 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spoofscan import sieve
 from spoofscan.arith import is_prime, sieve_primes, sigma_single
-from spoofscan.sieve import DENSE_HITS, MAX_SPAN, SigmaSegment, sigma_segment
+from spoofscan.search import MAX_LIMIT
+from spoofscan.sieve import MAX_HI, MAX_SPAN, SigmaSegment, sigma_segment
+
+# slots per block of the C kernel: primes below it run block by block
+BLOCK = 32768
 
 
 @pytest.fixture(scope="module")
 def primes_1e6():
     # covers sqrt(hi - 1) for every segment below 10**12 + 2**18
     return sieve_primes(10**6 + 1000)
+
+
+@pytest.fixture(scope="module")
+def primes_to_root():
+    # every prime up to sqrt(MAX_LIMIT) and a little beyond
+    return sieve_primes(isqrt(MAX_LIMIT) + 1000)
+
+
+def _sigma_by_trial_division(n, primes):
+    """sigma(n) for n <= MAX_LIMIT: the primes dividing n, found by one
+    vectorised remainder, then their powers taken out in Python ints."""
+    assert n <= MAX_LIMIT and primes[-1] >= isqrt(n)
+    sigma, rest = 1, n
+    for p in primes[n % primes == 0].tolist():
+        term, pe = 1, 1
+        while rest % p == 0:
+            rest //= p
+            pe *= p
+            term += pe
+        sigma *= term
+    return sigma * (rest + 1) if rest > 1 else sigma
 
 
 def test_first_odd_values():
@@ -61,11 +87,11 @@ def test_concatenation_equals_whole():
     assert np.array_equal(np.concatenate([left.values, right.values]), whole.values)
 
 
-def _check_around(n, span, primes):
+def _check_around(n, span, primes, oracle=sigma_single):
     """The segment of `span` odd slots centred on odd n; checks sigma(n)."""
     lo, hi = n - span, n + span
     seg = sigma_segment(lo, hi, primes)
-    assert seg.sigma_of(n) == sigma_single(n), n
+    assert seg.sigma_of(n) == oracle(n), n
     return isqrt(hi - 1)
 
 
@@ -73,14 +99,48 @@ def _check_around(n, span, primes):
     "p, k, span",
     [
         (997, 1, 1 << 10),  # 997^2 = 994009
-        (11, 11 * 11 * 67, 1 << 10),  # 11^4 * 67, a higher power in the sparse band
+        (11, 11 * 11 * 67, 1 << 10),  # 11^4 * 67
         (999983, 1, 1 << 16),  # the largest prime below 10^6, squared
         (521, 521 * 7071, 1 << 16),  # 521^3 * 7071
     ],
 )
 def test_sparse_band_prime_square(p, k, span, primes_1e6):
-    assert p * DENSE_HITS >= span
-    _check_around(p * p * k, span, primes_1e6)
+    # p is a sieving prime (not the leftover), on either side of BLOCK:
+    # 11, 521 and 997 run block by block, 999983 in the single pass
+    bound = _check_around(p * p * k, span, primes_1e6)
+    assert p <= bound
+
+
+@pytest.mark.parametrize("p", [32749, 32771])  # the primes on either side of BLOCK
+@pytest.mark.parametrize("k", [1, 3, 25])  # p^3 * 25 < MAX_LIMIT
+def test_block_edge_prime_powers(p, k, primes_to_root):
+    assert is_prime(p) and (p < BLOCK) == (p == 32749)
+    oracle = lambda n: _sigma_by_trial_division(n, primes_to_root)  # noqa: E731
+    for e in (2, 3):
+        # a segment across the block edge, so p^e * k lies in its second block
+        n = p**e * k
+        lo = n - 2 * (BLOCK + 100)
+        seg = sigma_segment(lo, lo + 2 * (2 * BLOCK + 17), primes_to_root)
+        assert seg.sigma_of(n) == oracle(n), (p, e, k)
+        _check_around(n, 1 << 10, primes_to_root, oracle)
+
+
+def test_block_edges_match_single_block_segments(primes_1e6):
+    # three full blocks and 17 slots; the run of the largest block prime
+    # 32749 starts at slot 60, crosses each block edge and ends in the
+    # partial last block
+    p, span = 32749, 3 * BLOCK + 17
+    lo = p * 30519 - 2 * 60
+    assert 3 * BLOCK <= 60 + 3 * p < span
+    hi = lo + 2 * span
+    seg = sigma_segment(lo, hi, primes_1e6)
+    # segments of 1000 slots never reach a block edge
+    pieces = [sigma_segment(a, min(a + 2000, hi), primes_1e6).values for a in range(lo, hi, 2000)]
+    assert np.array_equal(seg.values, np.concatenate(pieces))
+    for i in range(60, span, p):
+        assert seg.values[i] == sigma_single(lo + 2 * i), i
+    for i in (0, BLOCK - 1, BLOCK, 2 * BLOCK, 3 * BLOCK - 1, 3 * BLOCK, span - 1):
+        assert seg.values[i] == sigma_single(lo + 2 * i), i
 
 
 @pytest.mark.parametrize(
@@ -121,6 +181,32 @@ def test_matches_sigma_single_random_segments(lo, span, picks, primes_1e6):
         assert seg.values[i] == sigma_single(lo + 2 * i), (lo, span, i)
 
 
+@pytest.mark.parametrize("lo", [10**13 + 1, 10**14 + 1, MAX_LIMIT - (1 << 21) + 1])
+def test_matches_trial_division_above_1e12(lo, primes_to_root):
+    span = 1 << 16
+    seg = sigma_segment(lo, lo + 2 * span, primes_to_root)
+    for i in (0, 1, 4099, 32767, 32768, 50021, span - 1):
+        assert seg.values[i] == _sigma_by_trial_division(lo + 2 * i, primes_to_root), (lo, i)
+
+
+def test_trial_division_hard_cases_near_max_limit(primes_to_root):
+    oracle = lambda n: _sigma_by_trial_division(n, primes_to_root)  # noqa: E731
+    # consecutive primes around sqrt(MAX_LIMIT): p is the last sieving
+    # prime, q the leftover
+    p, q = 31622743, 31622777
+    assert is_prime(p) and is_prime(q) and not any(is_prime(r) for r in range(p + 2, q, 2))
+    assert q * q > MAX_LIMIT
+    # p^2 with p just below sqrt(hi)
+    assert p <= _check_around(p * p, 1 << 10, primes_to_root, oracle) < q
+    # a leftover prime just above sqrt(hi - 1)
+    assert p <= _check_around(p * q, 1 << 10, primes_to_root, oracle) < q
+    # several large prime factors in one slot, all in the single pass
+    n = 99961 * 99971 * 99991
+    assert n <= MAX_LIMIT
+    _check_around(n, 1 << 10, primes_to_root, oracle)
+    _check_around(3**4 * 99989 * 123457, 1 << 10, primes_to_root, oracle)
+
+
 def test_rejects_even_or_inverted_bounds():
     primes = sieve_primes(100)
     with pytest.raises(ValueError):
@@ -142,8 +228,35 @@ def test_rejects_oversized_span():
         sigma_segment(1, 2 * (MAX_SPAN + 1) + 1, primes)
 
 
+def test_rejects_hi_above_bound():
+    # sigma would overflow int64 past MAX_HI; the prime check is not reached
+    with pytest.raises(ValueError, match="2\\^61"):
+        sigma_segment(MAX_HI - 1023, MAX_HI + 1, np.array([3], dtype=np.int64))
+
+
 def test_segment_type_invariants():
     with pytest.raises(ValueError):
         SigmaSegment(lo=2, hi=11, values=np.ones(4, dtype=np.int64))
     with pytest.raises(ValueError):
         SigmaSegment(lo=1, hi=11, values=np.ones(4, dtype=np.int64))
+
+
+def test_kernel_build_cache(tmp_path):
+    kernel = sieve._load_kernel(tmp_path)
+    [lib] = tmp_path.iterdir()
+    assert kernel._name == str(lib) and lib.name.startswith("_kernel-")
+    built = lib.stat().st_mtime_ns
+    # builds under another key or name are never loaded: not libraries at all
+    other_key = "".join("1" if c == "0" else "0" for c in lib.stem.removeprefix("_kernel-"))
+    for name in (f"_kernel-{other_key}.so", "_sieve-0c10275e76cf9bf0.so"):
+        (tmp_path / name).write_bytes(b"not a shared library")
+    again = sieve._load_kernel(tmp_path)
+    assert again._name == str(lib)
+    assert lib.stat().st_mtime_ns == built
+    assert len(list(tmp_path.iterdir())) == 3  # no temporary file left behind
+
+
+def test_kernel_build_names_missing_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    with pytest.raises(RuntimeError, match="`cc`"):
+        sieve._load_kernel(tmp_path / "cache")
