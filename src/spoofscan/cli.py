@@ -25,7 +25,14 @@ from .analysis import (
     residue_histogram,
 )
 from .membership import MemberRecord, check_membership, classify_witness
-from .search import IntegrityError, SearchConfig, read_results, resume, search_range
+from .search import (
+    MAX_WORKERS,
+    IntegrityError,
+    SearchConfig,
+    read_results,
+    resume,
+    search_range,
+)
 from .sieve import DEFAULT_SPAN
 from .spoof import (
     ParseError,
@@ -313,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search all odd n up to a limit")
     p.add_argument("--limit", type=int, required=True, help="search bound (inclusive)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--threads", type=int, default=1, help=f"worker threads (1 to {MAX_WORKERS})"
+    )
     p.add_argument(
         "--segment-size", type=int, default=DEFAULT_SPAN, help="odd slots per segment"
     )

@@ -36,10 +36,11 @@ import numpy as np
 
 from .arith import sieve_primes
 from .membership import MemberRecord, ProductClass, classify_witness
-from .sieve import MAX_SPAN, DEFAULT_SPAN, member_slots, sigma_segment
+from .sieve import MAX_SPAN, DEFAULT_SPAN, sigma_segment
 
 __all__ = [
     "MAX_LIMIT",
+    "MAX_WORKERS",
     "SearchConfig",
     "Checkpoint",
     "IntegrityError",
@@ -53,6 +54,9 @@ RESULTS_MAGIC = "#spoofscan v1"
 # Largest search bound: 2n and sigma(n) stay far below 2^63 in the int64
 # kernels, and the prime table up to sqrt(limit) holds ~1.9M primes.
 MAX_LIMIT = 10**15
+# Most worker threads: the pool may start one OS thread per worker, and
+# WINDOW_PER_WORKER x workers segments are in flight.
+MAX_WORKERS = 256
 # segments flushed between checkpoints
 CHECKPOINT_EVERY = 64
 # segments submitted ahead of the writer, per worker: the writer needs the
@@ -80,8 +84,10 @@ class SearchConfig:
             raise ValueError(
                 f"segment_span must be in [1024, {MAX_SPAN}], got {self.segment_span}"
             )
-        if self.worker_count < 1:
-            raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
+        if not 1 <= self.worker_count <= MAX_WORKERS:
+            raise ValueError(
+                f"worker_count must be in [1, {MAX_WORKERS}], got {self.worker_count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, 
     """(n, sigma, x) for every member in [lo, hi)."""
     seg = sigma_segment(lo, hi, primes)
     out = []
-    for i in member_slots(seg).tolist():
+    for i in seg.members.tolist():
         n = lo + 2 * i
         s = int(seg.values[i])
         out.append((n, s, s // (2 * n - s)))

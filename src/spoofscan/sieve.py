@@ -8,11 +8,15 @@ multiplies the partial sigma by 1 + p + ... + p^e. Whatever cofactor is
 left afterwards is either 1 or a single prime q > sqrt(hi - 1), which
 contributes q + 1. The prime 2 never divides an odd n and is skipped.
 
-The kernel and the membership scan are C functions in _kernel.c. The
-first import compiles it with `cc` into this package's __pycache__,
-under a name keyed by a checksum of the source and the flags; later
-imports load that library. ctypes releases the GIL for each call, so
-worker threads sieve in parallel.
+The kernel is one C call per segment (_kernel.c). It finishes the
+segment block by block while each block is in cache: the primes below
+the block size, then the larger primes from per-block buckets, then the
+leftover cofactors, then the membership scan, so a segment comes back
+with its sigma values and its member slots. The first import compiles
+_kernel.c with `cc` into this package's __pycache__, under a name keyed
+by a checksum of the source and the flags; later imports load that
+library. ctypes releases the GIL for each call, so worker threads sieve
+in parallel.
 """
 
 from __future__ import annotations
@@ -48,16 +52,21 @@ def _load_kernel(cache_dir: Path = _SOURCE.parent / "__pycache__") -> ctypes.CDL
     lib = cache_dir / f"_kernel-{key:08x}.so"
     if not lib.exists():
         _compile(source, lib)
+    return _bind(lib)
+
+
+def _bind(lib: Path) -> ctypes.CDLL:
+    """Load a built kernel library and declare its functions."""
     kernel = ctypes.CDLL(str(lib))
     ptr = ctypes.c_void_p
     kernel.sigma_fill.argtypes = [_U64, _U64, ptr, _U64, ptr, ptr]
-    kernel.sigma_fill.restype = None
-    kernel.member_scan.argtypes = [_U64, _U64, ptr, ptr]
+    kernel.sigma_fill.restype = _U64
+    kernel.member_scan.argtypes = [_U64, _U64, _U64, ptr, ptr]
     kernel.member_scan.restype = _U64
     return kernel
 
 
-def _compile(source: bytes, lib: Path) -> None:
+def _compile(source: bytes, lib: Path, cflags: tuple[str, ...] = _CFLAGS) -> None:
     # imported here: a warm import never compiles
     import shutil
     import subprocess
@@ -70,7 +79,7 @@ def _compile(source: bytes, lib: Path) -> None:
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
         done = subprocess.run(
-            [cc, *_CFLAGS, "-x", "c", "-", "-o", str(tmp)], input=source, capture_output=True
+            [cc, *cflags, "-x", "c", "-", "-o", str(tmp)], input=source, capture_output=True
         )
         if done.returncode != 0:
             raise RuntimeError(
@@ -86,11 +95,16 @@ _KERNEL = _load_kernel()
 
 @dataclass(frozen=True)
 class SigmaSegment:
-    """sigma values for the odd integers in [lo, hi); values[i] = sigma(lo + 2i)."""
+    """sigma values for the odd integers in [lo, hi); values[i] = sigma(lo + 2i).
+
+    members holds, ascending, the slots i whose n = lo + 2i is a member:
+    d = 2n - sigma(n) > 0 divides sigma(n).
+    """
 
     lo: int
     hi: int
     values: np.ndarray
+    members: np.ndarray
 
     def __post_init__(self):
         if self.lo < 1 or self.lo % 2 == 0:
@@ -144,22 +158,27 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
     slots = (hi - lo) // 2
     if slots > MAX_SPAN:
         raise ValueError(f"segment of {slots} odd slots exceeds maximum {MAX_SPAN}")
-    primes = np.asarray(primes, dtype=np.int64)
+    # the kernel skips 2 and stops at the first prime above sqrt(hi - 1)
+    primes = np.ascontiguousarray(primes, dtype=np.int64)
     _check_prime_cover(primes, hi)
 
-    # the odd primes up to sqrt(hi - 1), the only ones the kernel may see
-    band = np.ascontiguousarray(
-        primes[np.searchsorted(primes, 3) : np.searchsorted(primes, isqrt(hi - 1), side="right")]
-    )
-    cof = np.empty(slots, dtype=np.int64)
     sig = np.empty(slots, dtype=np.int64)
-    _KERNEL.sigma_fill(lo, slots, band.ctypes.data, len(band), cof.ctypes.data, sig.ctypes.data)
-    return SigmaSegment(lo=lo, hi=hi, values=sig)
+    hits = np.empty(slots, dtype=np.int64)
+    count = _KERNEL.sigma_fill(
+        lo, slots, primes.ctypes.data, len(primes), sig.ctypes.data, hits.ctypes.data
+    )
+    if count > slots:
+        raise MemoryError(f"sieve kernel ran out of memory on [{lo}, {hi})")
+    # a copy, so the segment does not keep the whole hits buffer alive
+    return SigmaSegment(lo=lo, hi=hi, values=sig, members=hits[:count].copy())
 
 
-def member_slots(seg: SigmaSegment) -> np.ndarray:
-    """Slots i whose n = lo + 2i is a member: d = 2n - sigma(n) > 0 divides sigma(n)."""
-    hits = np.empty(len(seg.values), dtype=np.int64)
-    values = np.ascontiguousarray(seg.values, dtype=np.int64)
-    count = _KERNEL.member_scan(seg.lo, len(values), values.ctypes.data, hits.ctypes.data)
+def member_slots(lo: int, values: np.ndarray) -> np.ndarray:
+    """The kernel's membership scan on given values: the slots i where
+    d = 2n - values[i] > 0 divides values[i], with n = lo + 2i."""
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    if lo < 1 or lo % 2 == 0 or lo + 2 * len(values) > MAX_HI:
+        raise ValueError(f"need odd lo >= 1 and lo + 2 * len(values) <= 2^61, got lo={lo}")
+    hits = np.empty(len(values), dtype=np.int64)
+    count = _KERNEL.member_scan(lo, 0, len(values), values.ctypes.data, hits.ctypes.data)
     return hits[:count]

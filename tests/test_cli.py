@@ -1,8 +1,10 @@
+import threading
+
 import pytest
 
 from spoofscan import cli
 from spoofscan.cli import main
-from spoofscan.search import MAX_LIMIT
+from spoofscan.search import MAX_LIMIT, MAX_WORKERS
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +91,21 @@ def test_search_rejects_limit_above_bound(tmp_path, capsys):
     assert out == ""
     assert f"limit must be in [1, {MAX_LIMIT}]" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("threads", [MAX_WORKERS + 1, 100000])
+def test_search_rejects_too_many_threads(tmp_path, capsys, threads):
+    # limit 100 is one segment, so even a missing check would start one thread
+    out_path = tmp_path / "r.txt"
+    running = threading.active_count()
+    code, out, err = run_cli(
+        capsys, "search", "--limit", "100", "--threads", str(threads), "--out", str(out_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert f"worker_count must be in [1, {MAX_WORKERS}], got {threads}" in err
+    assert not out_path.exists()
+    assert threading.active_count() == running
 
 
 def test_search_progress_has_eta(tmp_path, capsys):

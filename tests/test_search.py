@@ -9,6 +9,7 @@ from spoofscan.arith import sieve_primes, sigma_single
 from spoofscan.membership import ProductClass, check_membership, membership_bruteforce
 from spoofscan.search import (
     MAX_LIMIT,
+    MAX_WORKERS,
     Checkpoint,
     IntegrityError,
     SearchConfig,
@@ -18,7 +19,7 @@ from spoofscan.search import (
     _scan_segment,
     search_range,
 )
-from spoofscan.sieve import SigmaSegment
+from spoofscan.sieve import member_slots
 
 
 def run(tmp_path, name="out.txt", **kwargs):
@@ -78,6 +79,9 @@ def test_config_validation(tmp_path):
         SearchConfig(limit=0, results_path=tmp_path / "x.txt")
     with pytest.raises(ValueError):
         SearchConfig(limit=10, results_path=tmp_path / "x.txt", worker_count=0)
+    SearchConfig(limit=10, results_path=tmp_path / "x.txt", worker_count=MAX_WORKERS)
+    with pytest.raises(ValueError, match="worker_count"):
+        SearchConfig(limit=10, results_path=tmp_path / "x.txt", worker_count=MAX_WORKERS + 1)
     with pytest.raises(ValueError):
         SearchConfig(limit=10, results_path=tmp_path / "x.txt", segment_span=512)
 
@@ -96,11 +100,16 @@ def test_scan_segment_matches_membership(lo):
     assert _scan_segment(lo, hi, sieve_primes(isqrt(hi))) == expected
 
 
-def test_scan_segment_skips_perfect_and_abundant_slots(monkeypatch):
-    # sigma = 2n (d = 0) and an abundant slot whose -d divides sigma are no members
+def test_scan_segment_skips_perfect_and_abundant_slots():
+    # the kernel's scan, which sigma_segment runs for _scan_segment, on fake
+    # values: sigma = 2n (d = 0) and an abundant slot whose -d divides sigma
+    # are no members
     fake = np.array([2, 4, 20, 8, 13], dtype=np.int64)
-    monkeypatch.setattr(search, "sigma_segment", lambda lo, hi, primes: SigmaSegment(lo, hi, fake))
-    assert _scan_segment(1, 11, None) == [(3, 4, 2)]
+    assert member_slots(1, fake).tolist() == [1]
+    # sigma = 2n - 1, so d = 1: below 2^53 the float quotient is exact, above
+    # it only the integer check accepts
+    for lo in (2**51 + 1, 2**60 + 1):
+        assert member_slots(lo, np.array([2 * lo - 1], dtype=np.int64)).tolist() == [0]
 
 
 def test_limit_bound(tmp_path):

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +12,17 @@ from hypothesis import strategies as st
 
 from spoofscan import sieve
 from spoofscan.arith import is_prime, sieve_primes, sigma_single
+from spoofscan.membership import check_membership
 from spoofscan.search import MAX_LIMIT
 from spoofscan.sieve import MAX_HI, MAX_SPAN, SigmaSegment, sigma_segment
 
-# slots per block of the C kernel: primes below it run block by block
+# slots per block of the C kernel: primes below it run block by block,
+# larger ones through per-block buckets
 BLOCK = 32768
+# the first primes above BLOCK, and one far above it
+P1, P2, Q = 32771, 32779, 999983
+# two full blocks and a partial third
+SPAN = 2 * BLOCK + 1001
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +218,57 @@ def test_trial_division_hard_cases_near_max_limit(primes_to_root):
     _check_around(3**4 * 99989 * 123457, 1 << 10, primes_to_root, oracle)
 
 
+@pytest.mark.parametrize("base", [10**12, MAX_LIMIT - (1 << 21)])
+@pytest.mark.parametrize(
+    "factor, slot",
+    [
+        (P1, 100),  # hits slots 100, 100 + P1 and 100 + 2 * P1: three blocks
+        (P1 * P1, 5000),  # P1^2 times a small cofactor
+        (P1 * P2, 7000),  # two bucketed primes in one slot
+        (Q, 0),  # the first slot of a block
+        (Q, BLOCK - 1),  # the last slot of a block
+        (Q, BLOCK),  # the first slot of the next block
+        (Q, SPAN - 1),  # the last slot of the partial last block
+    ],
+    ids=["P1", "P1^2", "P1*P2", "first", "last", "next-first", "partial-last"],
+)
+def test_bucketed_primes(base, factor, slot, primes_to_root):
+    # slot holds an odd multiple of factor near base; every slot the
+    # factor's largest prime hits is checked against trial division
+    p = max(q for q in (P1, P2, Q) if factor % q == 0)
+    n = (base // factor - 1 | 1) * factor  # odd, and at most base
+    lo = n - 2 * slot
+    seg = sigma_segment(lo, lo + 2 * SPAN, primes_to_root)
+    assert BLOCK < p <= isqrt(lo + 2 * SPAN - 1)
+    hits = range(slot % p, SPAN, p)
+    assert slot in hits
+    for i in hits:
+        assert seg.values[i] == _sigma_by_trial_division(lo + 2 * i, primes_to_root), (n, i)
+
+
+@pytest.mark.parametrize(
+    "lo, span",
+    [
+        (1, SPAN),  # members in more than one block
+        (945 - 2 * 300, 1024),  # 945 is abundant and -d = 30 divides sigma = 1920
+        (10**12 + 1, SPAN),
+        (MAX_LIMIT - (1 << 21) + 1, SPAN),
+    ],
+)
+def test_members_match_check_membership(lo, span, primes_to_root):
+    seg = sigma_segment(lo, lo + 2 * span, primes_to_root)
+    expected = [
+        i
+        for i, s in enumerate(seg.values.tolist())
+        if check_membership(lo + 2 * i, s) is not None
+    ]
+    assert seg.members.tolist() == expected
+    if lo == 1:
+        assert expected[-1] >= BLOCK
+    if lo < 945 < lo + 2 * span:
+        assert seg.sigma_of(945) == 1920 and expected
+
+
 def test_rejects_even_or_inverted_bounds():
     primes = sieve_primes(100)
     with pytest.raises(ValueError):
@@ -235,10 +297,11 @@ def test_rejects_hi_above_bound():
 
 
 def test_segment_type_invariants():
+    none = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError):
-        SigmaSegment(lo=2, hi=11, values=np.ones(4, dtype=np.int64))
+        SigmaSegment(lo=2, hi=11, values=np.ones(4, dtype=np.int64), members=none)
     with pytest.raises(ValueError):
-        SigmaSegment(lo=1, hi=11, values=np.ones(4, dtype=np.int64))
+        SigmaSegment(lo=1, hi=11, values=np.ones(4, dtype=np.int64), members=none)
 
 
 def test_kernel_build_cache(tmp_path):
@@ -260,3 +323,69 @@ def test_kernel_build_names_missing_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     with pytest.raises(RuntimeError, match="`cc`"):
         sieve._load_kernel(tmp_path / "cache")
+
+
+# segments a build of the kernel must reproduce: members in several blocks
+# and around 945, a block prime's carry into a partial last block, two
+# bucketed primes in one slot near 10^12, buckets and leftovers near
+# MAX_LIMIT, and the leftover just above sqrt(hi - 1) there
+HARD_SEGMENTS = [
+    (1, SPAN),
+    (945 - 2 * 300, 1024),
+    (32749 * 30519 - 2 * 60, 3 * BLOCK + 17),
+    ((10**12 // (P1 * P2) - 1 | 1) * P1 * P2 - 2 * 7000, SPAN),
+    (MAX_LIMIT - (1 << 21) + 1, SPAN),
+    (31622743 * 31622777 - 2 * 500, 1024),
+]
+
+# run in a fresh interpreter: argv is the kernel library, then the segments
+_FINGERPRINTS = """
+import hashlib, json, sys
+from math import isqrt
+import numpy as np
+from spoofscan import sieve
+from spoofscan.arith import sieve_primes
+sieve._KERNEL = sieve._bind(sys.argv[1])
+segments = json.loads(sys.argv[2])
+primes = sieve_primes(isqrt(max(lo + 2 * span for lo, span in segments)))
+out = []
+for lo, span in segments:
+    seg = sieve.sigma_segment(lo, lo + 2 * span, primes)
+    out.append([hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.members.tolist()])
+lo = 2**60 + 1
+out.append(sieve.member_slots(lo, np.array([2 * lo - 1, 2 * lo - 3])).tolist())
+print(json.dumps(out))
+"""
+
+
+def _fingerprints(lib, env=None):
+    src = str(Path(sieve.__file__).parents[1])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _FINGERPRINTS, str(lib), json.dumps(HARD_SEGMENTS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+    return json.loads(done.stdout)
+
+
+def test_kernel_builds_clean_and_sanitized(tmp_path):
+    source = sieve._SOURCE.read_bytes()
+    sieve._compile(source, tmp_path / "strict.so", (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
+    libasan, libubsan = (
+        subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True)
+        .stdout.strip()
+        for name in ("libasan.so", "libubsan.so")
+    )
+    if not all(os.path.isabs(lib) and os.path.exists(lib) for lib in (libasan, libubsan)):
+        pytest.skip("no sanitizer runtime")
+    sanitize = "-fsanitize=address,undefined,float-cast-overflow"
+    flags = ("-O1", "-g", "-shared", "-fPIC", sanitize, "-fno-sanitize-recover=all")
+    sieve._compile(source, tmp_path / "sanitized.so", flags)
+    expected = _fingerprints(sieve._KERNEL._name)
+    assert expected[-1] == [0]
+    env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
+    assert _fingerprints(tmp_path / "sanitized.so", env) == expected
