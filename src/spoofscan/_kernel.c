@@ -19,8 +19,8 @@
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
    and Montgomery, PLDI 1994): c * inv is c / p exactly when p divides c,
    and c * inv * p overflows otherwise. All value arithmetic is in
-   uint64_t, whose overflow is defined; sieve.py keeps n below 2^61, so
-   every true value (n, 2n, sigma(n)) stays below 2^63.
+   uint64_t, whose overflow is defined; sieve.py keeps n below 2^51, so
+   every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
    Both functions are reentrant and keep no static state; ctypes releases
    the GIL around each call, so threads run them in parallel. */
@@ -98,16 +98,16 @@ uint64_t member_scan(uint64_t lo, uint64_t i0, uint64_t i1, const uint64_t *sig,
         if (s >= two_n)
             continue;
         /* sigma >= 1, and s < 4n / 3 means s / d < 2, so d divides s only
-           when s == d: most slots need no division (3s < 3 * 2^62 fits) */
+           when s == d: most slots need no division */
         if (3 * s < 2 * two_n) {
             if (s == d)
                 hits[count++] = i;
             continue;
         }
-        /* below 2^53, s converts exactly and, when d divides s, so do d and
+        /* s < 2n < 2^52 converts exactly and, when d divides s, so do d and
            the quotient, so the float quotient is exact; when d does not
            divide s, no integer q has q * d == s */
-        if (s < (uint64_t)1 << 53 ? (uint64_t)((double)s / (double)d) * d == s : s % d == 0)
+        if ((uint64_t)((double)s / (double)d) * d == s)
             hits[count++] = i;
     }
     return count;

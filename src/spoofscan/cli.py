@@ -35,7 +35,6 @@ from .search import (
 )
 from .sieve import DEFAULT_SPAN
 from .spoof import (
-    ParseError,
     classify_spoof,
     expand,
     format_factorization,
@@ -174,23 +173,22 @@ def cmd_verify_descartes(args) -> int:
     return 0
 
 
-def _k_max_for(limit: int) -> int:
-    k = 0
-    while 10 ** (k + 1) <= limit:
-        k += 1
-    return k
+def _complete_decades(limit: int, members: list[int]) -> list[tuple[int, int]]:
+    """decade_counts for every decade 10^k <= limit; the members in the
+    partial tail above the last one are dropped, and a limit below 10 has
+    no rows."""
+    k_max = 0
+    while 10 ** (k_max + 1) <= limit:
+        k_max += 1
+    if k_max < 1:
+        return []
+    return decade_counts([n for n in members if n <= 10**k_max], k_max)
 
 
 def cmd_analyze(args) -> int:
     limit, records = read_results(args.infile)
     members = [rec.n for rec in records]
-    k_max = _k_max_for(limit)
-    # decade rows cover complete decades only; drop the partial tail
-    decades = (
-        decade_counts([n for n in members if n <= 10**k_max], k_max)
-        if k_max >= 1
-        else []
-    )
+    decades = _complete_decades(limit, members)
     residues = residue_histogram(members, args.mod)
     digits = ending_digit_histogram(members)
     if args.csv:
@@ -228,9 +226,12 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path} line {lineno}: expected 'k,count'")
-            if lineno == 1 and not parts[0].lstrip("-").replace(".", "", 1).isdigit():
-                continue  # header row
-            points.append((float(parts[0]), float(parts[1])))
+            try:
+                points.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                # only line 1 may be a header row
+                if lineno > 1:
+                    raise ValueError(f"{path} line {lineno}: expected numbers 'k,count'") from None
     return points
 
 
@@ -241,10 +242,9 @@ def cmd_fit(args) -> int:
         limit, records = read_results(args.infile)
         members = [rec.n for rec in records]
         if args.decades:
-            k_max = _k_max_for(limit)
-            if k_max < 1:
+            rows = _complete_decades(limit, members)
+            if not rows:
                 return _fail(f"limit {limit} has no complete decades to fit")
-            rows = decade_counts([n for n in members if n <= 10**k_max], k_max)
             points = [(float(10**k), float(cum)) for k, (cum, _) in enumerate(rows, start=1)]
         else:
             points = [(float(n), float(i)) for i, n in enumerate(members, start=1) if n >= 2]
@@ -388,11 +388,8 @@ def main(argv=None) -> int:
         return _fail("fit needs --in or --points")
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(str(exc))
-    except IntegrityError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except (IntegrityError, ValueError) as exc:
+        # ValueError covers spoof.ParseError
         return _fail(str(exc))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

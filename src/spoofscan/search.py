@@ -8,10 +8,11 @@ submitted lazily, at most WINDOW_PER_WORKER x worker_count ahead of the
 segment the writer is on, so memory stays bounded at any limit. Every
 CHECKPOINT_EVERY segments the writer appends the member lines held since
 the last checkpoint, flushes them and then renames the new checkpoint
-into place. So the results file never holds lines past the checkpoint,
-and a run stopped by Ctrl-C or an error resumes with no loss beyond the
-last checkpoint (a kill between the flush and the rename is not yet
-covered).
+into place. A search writes its first checkpoint before the results
+header, so the results file never holds lines past the checkpoint, and
+a run stopped at any point by Ctrl-C or an error resumes with no loss
+beyond the last checkpoint (a kill between the flush and the rename is
+not yet covered).
 
 Results file v1 (text, LF, ASCII decimal):
 
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 RESULTS_MAGIC = "#spoofscan v1"
-# Largest search bound: 2n and sigma(n) stay far below 2^63 in the int64
-# kernels, and the prime table up to sqrt(limit) holds ~1.9M primes.
+# Largest search bound: every segment stays below sieve.MAX_HI, and the
+# prime table up to sqrt(limit) holds ~1.9M primes.
 MAX_LIMIT = 10**15
 # Most worker threads: the pool may start one OS thread per worker, and
 # WINDOW_PER_WORKER x workers segments are in flight.
@@ -172,7 +173,6 @@ def _run(
     config: SearchConfig,
     first_slot: int,
     found: int,
-    stop_after_segments: int | None,
     progress: Callable[[int, int, int], None] | None,
 ) -> list[MemberRecord]:
     """Scan from odd slot first_slot on, appending member lines to the results file."""
@@ -202,9 +202,6 @@ def _run(
                 config.checkpoint_path, Checkpoint(config.limit, next_lo, found)
             )
 
-    last = len(starts)
-    if stop_after_segments is not None:
-        last = min(last, stop_after_segments)
     pool = ThreadPoolExecutor(max_workers=config.worker_count)
     try:
         with open(config.results_path, "a", encoding="ascii", newline="\n") as fh:
@@ -214,14 +211,13 @@ def _run(
                     records.append(rec)
                     lines.append(f"{rec.n}\t{rec.x}\t{rec.product_class.value}\n")
                     found += 1
-                if done >= last or done % CHECKPOINT_EVERY == 0:
+                if done == len(starts) or done % CHECKPOINT_EVERY == 0:
                     checkpoint_now(hi)
+                # after the checkpoint: a callback that raises stops on it
                 if progress is not None:
                     progress(done, len(starts), found)
-                if done >= last:
-                    break
     finally:
-        # drop queued segments when stopping early or unwinding on error
+        # drop queued segments when unwinding on an interrupt or an error
         pool.shutdown(cancel_futures=True)
     return records
 
@@ -229,25 +225,25 @@ def _run(
 def search_range(
     config: SearchConfig,
     *,
-    stop_after_segments: int | None = None,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[MemberRecord]:
     """Search all odd n <= config.limit, writing the results file.
 
-    Returns the member records in ascending order. `stop_after_segments`
-    stops cleanly (checkpoint written) after that many segments, which
-    tests use to simulate an interrupted run.
+    Returns the member records in ascending order. With a checkpoint
+    path, the checkpoint (next=1, found=0) is written before the results
+    file is truncated to its header, so the run resumes from any point.
     """
+    if config.checkpoint_path is not None:
+        _write_checkpoint(config.checkpoint_path, Checkpoint(config.limit, 1, 0))
     Path(config.results_path).write_text(
         f"{RESULTS_MAGIC} limit={config.limit}\n", encoding="ascii", newline="\n"
     )
-    return _run(config, 0, 0, stop_after_segments, progress)
+    return _run(config, 0, 0, progress)
 
 
 def resume(
     config: SearchConfig,
     *,
-    stop_after_segments: int | None = None,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[MemberRecord]:
     """Continue an interrupted search from its checkpoint.
@@ -280,6 +276,4 @@ def resume(
         raise IntegrityError("results file contains records beyond the checkpoint")
     if cp.next_lo > config.limit:
         return prior
-    return prior + _run(
-        config, (cp.next_lo - 1) // 2, cp.found_count, stop_after_segments, progress
-    )
+    return prior + _run(config, (cp.next_lo - 1) // 2, cp.found_count, progress)

@@ -37,8 +37,9 @@ __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 # Odd slots per segment: default working set is two 8 MiB int64 arrays.
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
-# sigma(n) < 3.7n for odd n < 2^61, so every value fits in int64
-MAX_HI = 1 << 61
+# Above every search (MAX_LIMIT + 2 < 2^51). Below it sigma(n) < 4n < 2^53,
+# and the scan divides only where sigma(n) < 2n < 2^52, so exactly in floats
+MAX_HI = 1 << 51
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -154,7 +155,7 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
     if hi % 2 == 0:
         raise ValueError(f"hi must be odd-aligned (odd), got {hi}")
     if hi > MAX_HI:
-        raise ValueError(f"hi must be <= 2^61, got {hi}")
+        raise ValueError(f"hi must be <= 2^51, got {hi}")
     slots = (hi - lo) // 2
     if slots > MAX_SPAN:
         raise ValueError(f"segment of {slots} odd slots exceeds maximum {MAX_SPAN}")
@@ -178,7 +179,7 @@ def member_slots(lo: int, values: np.ndarray) -> np.ndarray:
     d = 2n - values[i] > 0 divides values[i], with n = lo + 2i."""
     values = np.ascontiguousarray(values, dtype=np.int64)
     if lo < 1 or lo % 2 == 0 or lo + 2 * len(values) > MAX_HI:
-        raise ValueError(f"need odd lo >= 1 and lo + 2 * len(values) <= 2^61, got lo={lo}")
+        raise ValueError(f"need odd lo >= 1 and lo + 2 * len(values) <= 2^51, got lo={lo}")
     hits = np.empty(len(values), dtype=np.int64)
     count = _KERNEL.member_scan(lo, 0, len(values), values.ctypes.data, hits.ctypes.data)
     return hits[:count]

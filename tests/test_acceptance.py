@@ -26,6 +26,7 @@ from spoofscan.membership import (
     check_membership_fraction,
     membership_bruteforce,
 )
+from spoofscan import search
 from spoofscan.search import SearchConfig, read_checkpoint, resume, search_range
 from spoofscan.sieve import sigma_segment
 
@@ -112,7 +113,7 @@ def test_c05_search_equals_bruteforce_at_1e6(tmp_path, bruteforce_1e6):
           f"{len(records)} records at 1e6 ({elapsed:.1f}s)")
 
 
-def test_c06_determinism_and_resume(tmp_path):
+def test_c06_determinism_and_resume(tmp_path, monkeypatch):
     files = []
     for name, threads, span in [
         ("t1_s16.txt", 1, 1 << 16),
@@ -136,7 +137,14 @@ def test_c06_determinism_and_resume(tmp_path):
         worker_count=4,
         segment_span=1 << 16,
     )
-    search_range(interrupted, stop_after_segments=4)
+
+    def interrupt(done, total, found):
+        if done == 4:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 4)
+    with pytest.raises(KeyboardInterrupt):
+        search_range(interrupted, progress=interrupt)
     assert read_checkpoint(interrupted.checkpoint_path).next_lo == 1 + 2 * 4 * (1 << 16)
     resume(interrupted)
     assert (tmp_path / "resumed.txt").read_bytes() == files[0]

@@ -1,8 +1,9 @@
+import itertools
 import threading
 
 import pytest
 
-from spoofscan import cli
+from spoofscan import cli, search
 from spoofscan.cli import main
 from spoofscan.search import MAX_LIMIT, MAX_WORKERS
 
@@ -210,6 +211,24 @@ def test_fit_on_synthetic_points(tmp_path, capsys):
     assert "points = 8" in out
 
 
+@pytest.mark.parametrize("first", ["1e1,2", "10 ,2"])
+def test_fit_points_first_row_numeric_is_data(tmp_path, capsys, first):
+    # line 1 is a header only when it does not parse as numbers
+    csv = tmp_path / "points.csv"
+    csv.write_text(f"{first}\n100,3\n1000,4\n")
+    code, out, _ = run_cli(capsys, "fit", "--points", str(csv))
+    assert code == 0
+    assert "points = 3" in out
+
+
+def test_fit_points_rejects_text_after_line_1(tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    csv.write_text("k,count\n10,2\nk,count\n")
+    code, _, err = run_cli(capsys, "fit", "--points", str(csv))
+    assert code == 1
+    assert "line 3" in err
+
+
 def test_fit_on_results_members_and_decades(tmp_path, capsys):
     path = _make_results(tmp_path, capsys)
     code, out, _ = run_cli(capsys, "fit", "--in", str(path))
@@ -302,3 +321,26 @@ def test_search_ctrl_c_exits_130(tmp_path, capsys, monkeypatch, checkpoint, mess
     assert code == 130
     assert out == ""
     assert err == message
+
+
+def test_search_ctrl_c_before_first_checkpoint_resumes(tmp_path, capsys, monkeypatch):
+    # 49 segments, fewer than CHECKPOINT_EVERY: only the checkpoint written
+    # before the results header exists when Ctrl-C lands in segment 3
+    argv = ["search", "--limit", "100000", "--segment-size", "1024"]
+    full, out, cp = tmp_path / "full.txt", tmp_path / "r.txt", tmp_path / "cp.txt"
+    assert run_cli(capsys, *argv, "--out", str(full))[0] == 0
+    scan, calls = search._scan_segment, itertools.count(1)
+
+    def interrupted(lo, hi, primes):
+        if next(calls) == 3:
+            raise KeyboardInterrupt
+        return scan(lo, hi, primes)
+
+    monkeypatch.setattr(search, "_scan_segment", interrupted)
+    code, _, err = run_cli(capsys, *argv, "--out", str(out), "--checkpoint", str(cp))
+    assert code == 130
+    assert err.endswith("search interrupted; resume with --resume\n")
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out), "--checkpoint", str(cp), "--resume")
+    assert code == 0
+    assert out.read_bytes() == full.read_bytes()

@@ -19,7 +19,19 @@ from spoofscan.search import (
     _scan_segment,
     search_range,
 )
-from spoofscan.sieve import member_slots
+from spoofscan.sieve import MAX_HI, member_slots
+
+
+def interrupt_at(segment):
+    """A progress callback that stops a run after `segment` segments, as
+    Ctrl-C does; it stops on a checkpoint when CHECKPOINT_EVERY divides
+    `segment`."""
+
+    def progress(done, total, found):
+        if done == segment:
+            raise KeyboardInterrupt
+
+    return progress
 
 
 def run(tmp_path, name="out.txt", **kwargs):
@@ -106,14 +118,17 @@ def test_scan_segment_skips_perfect_and_abundant_slots():
     # are no members
     fake = np.array([2, 4, 20, 8, 13], dtype=np.int64)
     assert member_slots(1, fake).tolist() == [1]
-    # sigma = 2n - 1, so d = 1: below 2^53 the float quotient is exact, above
-    # it only the integer check accepts
-    for lo in (2**51 + 1, 2**60 + 1):
-        assert member_slots(lo, np.array([2 * lo - 1], dtype=np.int64)).tolist() == [0]
+    # sigma = 2n - 1, so d = 1, in the last slot below the cap: the float
+    # quotient of sigma ~ 2^52 must be exact; the slot above is rejected
+    lo = MAX_HI - 3
+    assert member_slots(lo, np.array([2 * lo - 1], dtype=np.int64)).tolist() == [0]
+    with pytest.raises(ValueError, match="2\\^51"):
+        member_slots(lo + 2, np.array([2 * lo + 3], dtype=np.int64))
 
 
 def test_limit_bound(tmp_path):
     assert MAX_LIMIT >= 10**12
+    assert MAX_LIMIT + 2 <= MAX_HI  # every segment of a search fits the sieve
     SearchConfig(limit=MAX_LIMIT, results_path=tmp_path / "x.txt")
     with pytest.raises(ValueError, match="limit"):
         SearchConfig(limit=MAX_LIMIT + 1, results_path=tmp_path / "x.txt")
@@ -133,7 +148,7 @@ def test_checkpoint_written_and_complete(tmp_path):
     assert cp.found_count == 15
 
 
-def test_interrupt_and_resume_byte_identical(tmp_path):
+def test_interrupt_and_resume_byte_identical(tmp_path, monkeypatch):
     full_config = SearchConfig(limit=10**5, results_path=tmp_path / "full.txt", segment_span=1024)
     search_range(full_config)
     expected = (tmp_path / "full.txt").read_bytes()
@@ -145,13 +160,15 @@ def test_interrupt_and_resume_byte_identical(tmp_path):
         segment_span=1024,
         worker_count=2,
     )
-    partial = search_range(config, stop_after_segments=20)
+    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 20)
+    with pytest.raises(KeyboardInterrupt):
+        search_range(config, progress=interrupt_at(20))
     cp = read_checkpoint(config.checkpoint_path)
     assert cp.next_lo == 1 + 2 * 20 * 1024
     partial_bytes = (tmp_path / "part.txt").read_bytes()
     assert partial_bytes != expected  # genuinely unfinished
     assert expected.startswith(partial_bytes)  # flushed output is a prefix
-    assert len(partial) == cp.found_count
+    assert len(read_results(config.results_path)[1]) == cp.found_count
 
     records = resume(config)
     assert (tmp_path / "part.txt").read_bytes() == expected
@@ -170,14 +187,16 @@ def test_resume_completed_checkpoint_is_noop(tmp_path):
     assert (tmp_path / "out.txt").read_bytes() == before
 
 
-def test_resume_detects_found_count_mismatch(tmp_path):
+def test_resume_detects_found_count_mismatch(tmp_path, monkeypatch):
     config = SearchConfig(
         limit=10**5,
         results_path=tmp_path / "out.txt",
         checkpoint_path=tmp_path / "cp.txt",
         segment_span=1024,
     )
-    search_range(config, stop_after_segments=10)
+    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 10)
+    with pytest.raises(KeyboardInterrupt):
+        search_range(config, progress=interrupt_at(10))
     cp = read_checkpoint(config.checkpoint_path)
     (config.checkpoint_path).write_text(
         f"limit={cp.limit}\nnext={cp.next_lo}\nfound={cp.found_count + 1}\n"
@@ -192,7 +211,7 @@ def test_resume_detects_limit_mismatch(tmp_path):
         results_path=tmp_path / "out.txt",
         checkpoint_path=tmp_path / "cp.txt",
     )
-    search_range(config, stop_after_segments=1)
+    search_range(config)  # one segment
     other = SearchConfig(
         limit=2 * 10**4,
         results_path=tmp_path / "out.txt",
@@ -230,9 +249,7 @@ def test_checkpoint_round_trip(tmp_path):
         read_checkpoint(path)
 
 
-def test_ctrl_c_leaves_resumable_pair(tmp_path):
-    full = SearchConfig(limit=10**6, results_path=tmp_path / "full.txt", segment_span=1024)
-    search_range(full)
+def test_ctrl_c_leaves_resumable_pair(tmp_path, search_1e6):
     config = SearchConfig(
         limit=10**6,
         results_path=tmp_path / "part.txt",
@@ -240,18 +257,19 @@ def test_ctrl_c_leaves_resumable_pair(tmp_path):
         segment_span=1024,
         worker_count=2,
     )
-
-    def interrupt(done, total, found):
-        if done == 200:
-            raise KeyboardInterrupt
-
+    # segment 10 of 489 comes before CHECKPOINT_EVERY: the run stops on the
+    # checkpoint the search wrote before the results header
     with pytest.raises(KeyboardInterrupt):
-        search_range(config, progress=interrupt)
+        search_range(config, progress=interrupt_at(10))
+    assert read_checkpoint(config.checkpoint_path) == Checkpoint(10**6, 1, 0)
+    # the resume runs from slot 0 and is interrupted in turn
+    with pytest.raises(KeyboardInterrupt):
+        resume(config, progress=interrupt_at(200))
     cp = read_checkpoint(config.checkpoint_path)
     assert cp.next_lo == 1 + 2 * 192 * 1024  # the last checkpoint before segment 200
     assert len(read_results(config.results_path)[1]) == cp.found_count
     resume(config)
-    assert (tmp_path / "part.txt").read_bytes() == (tmp_path / "full.txt").read_bytes()
+    assert (tmp_path / "part.txt").read_bytes() == search_1e6[1].read_bytes()
 
 
 def test_in_flight_window_is_bounded(tmp_path, monkeypatch):
@@ -278,7 +296,7 @@ def test_in_flight_window_is_bounded(tmp_path, monkeypatch):
     assert violations == []
 
 
-def test_memory_bounded_at_max_limit(tmp_path):
+def test_memory_bounded_at_max_limit(tmp_path, monkeypatch):
     config = SearchConfig(
         limit=MAX_LIMIT,
         results_path=tmp_path / "out.txt",
@@ -286,7 +304,10 @@ def test_memory_bounded_at_max_limit(tmp_path):
         segment_span=1024,
         worker_count=2,
     )
-    records = search_range(config, stop_after_segments=2)
+    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 2)
+    with pytest.raises(KeyboardInterrupt):
+        search_range(config, progress=interrupt_at(2))
+    _, records = read_results(config.results_path)
     assert records == membership_bruteforce(4095)
     assert len(records) == 11 and records[-1].n == 2295
     assert read_checkpoint(config.checkpoint_path) == Checkpoint(MAX_LIMIT, 4097, 11)

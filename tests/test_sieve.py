@@ -291,8 +291,9 @@ def test_rejects_oversized_span():
 
 
 def test_rejects_hi_above_bound():
-    # sigma would overflow int64 past MAX_HI; the prime check is not reached
-    with pytest.raises(ValueError, match="2\\^61"):
+    # the scan's float quotient is exact only below MAX_HI; the prime check
+    # is not reached
+    with pytest.raises(ValueError, match="2\\^51"):
         sigma_segment(MAX_HI - 1023, MAX_HI + 1, np.array([3], dtype=np.int64))
 
 
@@ -352,7 +353,7 @@ out = []
 for lo, span in segments:
     seg = sieve.sigma_segment(lo, lo + 2 * span, primes)
     out.append([hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.members.tolist()])
-lo = 2**60 + 1
+lo = sieve.MAX_HI - 5
 out.append(sieve.member_slots(lo, np.array([2 * lo - 1, 2 * lo - 3])).tolist())
 print(json.dumps(out))
 """
