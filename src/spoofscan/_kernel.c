@@ -13,7 +13,7 @@
    2. the larger primes, which hit a block at most once each: their hits
       in the segment are sorted into per-block buckets once per call;
    3. the leftover: what is left of the cofactor is 1 or one prime
-      q > sqrt(hi - 1), which contributes q + 1;
+      q > sqrt(hi - 1), which contributes q + 1, taken without a branch;
    4. the membership scan of the block's sigma values.
 
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
@@ -159,9 +159,10 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
         }
         free(bucket[b].hit);
         bucket[b].hit = NULL;
+        /* c + (c != 1) is 1 for c = 1 and c + 1 for a prime c; a branch on
+           c > 1 would be a near coin flip */
         for (i = 0; i < len; i++)
-            if (cof[i] > 1)
-                s[i] *= cof[i] + 1;
+            s[i] *= cof[i] + (cof[i] != 1);
         count += member_scan(lo, b0, b0 + len, sig, hits + count);
     }
 

@@ -27,6 +27,7 @@ from .analysis import (
 from .membership import MemberRecord, check_membership, classify_witness
 from .search import (
     MAX_WORKERS,
+    TASK_SLOTS,
     IntegrityError,
     SearchConfig,
     read_results,
@@ -324,7 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help=f"worker threads (1 to {MAX_WORKERS})"
     )
     p.add_argument(
-        "--segment-size", type=int, default=DEFAULT_SPAN, help="odd slots per segment"
+        "--segment-size",
+        type=int,
+        default=DEFAULT_SPAN,
+        help="odd slots per segment, the unit of checkpoints and progress; "
+        f"segments of fewer than {TASK_SLOTS} slots are sieved in batches",
     )
     p.add_argument("--out", required=True, help="results file (v1 format)")
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")

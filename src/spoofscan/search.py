@@ -3,12 +3,16 @@
 Work is split into segments of `segment_span` odd slots. Workers compute
 sigma for a segment (sieve kernel) and scan it for members; a single
 in-order writer appends member lines to the results file, so the output
-bytes are identical for any worker count or segment span. Segments are
-submitted lazily, at most WINDOW_PER_WORKER x worker_count ahead of the
-segment the writer is on, so memory stays bounded at any limit. Every
-CHECKPOINT_EVERY segments the writer appends the member lines held since
-the last checkpoint, flushes them and then renames the new checkpoint
-into place. A search writes its first checkpoint before the results
+bytes are identical for any worker count or segment span. Segments go to
+the workers in tasks of k = max(1, TASK_SLOTS // segment_span)
+consecutive segments, so small segments cost one submit per batch; at
+the default span k = 1. Tasks are submitted lazily, at most
+WINDOW_PER_WORKER x worker_count in flight, the one the writer is on
+included, so memory stays bounded at any limit. The writer still takes
+each segment on its own: every CHECKPOINT_EVERY segments, also in the
+middle of a task, it appends the member lines held since the last
+checkpoint, flushes them and then renames the new checkpoint into
+place. A search writes its first checkpoint before the results
 header, so the results file never holds lines past the checkpoint, and
 a run stopped at any point by Ctrl-C or an error resumes with no loss
 beyond the last checkpoint (a kill between the flush and the rename is
@@ -56,13 +60,20 @@ RESULTS_MAGIC = "#spoofscan v1"
 # prime table up to sqrt(limit) holds ~1.9M primes.
 MAX_LIMIT = 10**15
 # Most worker threads: the pool may start one OS thread per worker, and
-# WINDOW_PER_WORKER x workers segments are in flight.
+# WINDOW_PER_WORKER x workers tasks are in flight.
 MAX_WORKERS = 256
 # segments flushed between checkpoints
 CHECKPOINT_EVERY = 64
-# segments submitted ahead of the writer, per worker: the writer needs the
-# GIL to refill the window, and CPython may hold it from the writer for its
-# 5 ms switch interval, which is ~7 segments of 4096 slots
+# odd slots per task, unless one segment is larger: segments go to the
+# workers TASK_SLOTS // span at a time, so the submit, the future and the
+# wake-up of a task, all under the GIL, are paid once per ~2^18 slots
+# rather than once per small segment
+TASK_SLOTS = 1 << 18
+# tasks in flight per worker, the one the writer is on included: a worker
+# that finishes a task finds the next one queued even while the writer
+# waits on an older, slower one, and a queued task holds no arrays; at
+# most WINDOW_PER_WORKER x workers x max(span, TASK_SLOTS) slots are in
+# flight, 8 x workers x 2^20 at the default span
 WINDOW_PER_WORKER = 8
 
 
@@ -107,6 +118,11 @@ def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, 
         s = int(seg.values[i])
         out.append((n, s, s // (2 * n - s)))
     return out
+
+
+def _scan_task(bounds: list[tuple[int, int]], primes: np.ndarray) -> list[tuple[int, list]]:
+    """(hi, hits) for each segment [lo, hi) in bounds, in order."""
+    return [(hi, _scan_segment(lo, hi, primes)) for lo, hi in bounds]
 
 
 def _record_for(n: int, sigma_n: int, x: int) -> MemberRecord:
@@ -178,18 +194,23 @@ def _run(
     """Scan from odd slot first_slot on, appending member lines to the results file."""
     primes = sieve_primes(isqrt(config.limit))
     total = (config.limit + 1) // 2
-    starts = range(first_slot, total, config.segment_span)
+    span = config.segment_span
+    starts = range(first_slot, total, span)
+    per_task = max(1, TASK_SLOTS // span)
     records: list[MemberRecord] = []
     lines: list[str] = []
 
     def in_order(pool):
+        """(hi, hits) of each segment in turn, one task of per_task segments
+        submitted as the writer finishes the oldest one in flight."""
         window = deque()
-        for slot in starts:
-            hi = 1 + 2 * min(slot + config.segment_span, total)
-            window.append((hi, pool.submit(_scan_segment, 1 + 2 * slot, hi, primes)))
-            if len(window) > WINDOW_PER_WORKER * config.worker_count:
-                yield window.popleft()
-        yield from window
+        for i in range(0, len(starts), per_task):
+            if len(window) == WINDOW_PER_WORKER * config.worker_count:
+                yield from window.popleft().result()
+            bounds = [(1 + 2 * s, 1 + 2 * min(s + span, total)) for s in starts[i : i + per_task]]
+            window.append(pool.submit(_scan_task, bounds, primes))
+        for future in window:
+            yield from future.result()
 
     def checkpoint_now(next_lo: int) -> None:
         # member lines reach the file only here, flushed before the checkpoint
@@ -205,8 +226,8 @@ def _run(
     pool = ThreadPoolExecutor(max_workers=config.worker_count)
     try:
         with open(config.results_path, "a", encoding="ascii", newline="\n") as fh:
-            for done, (hi, future) in enumerate(in_order(pool), start=1):
-                for n, sigma_n, x in future.result():
+            for done, (hi, hits) in enumerate(in_order(pool), start=1):
+                for n, sigma_n, x in hits:
                     rec = _record_for(n, sigma_n, x)
                     records.append(rec)
                     lines.append(f"{rec.n}\t{rec.x}\t{rec.product_class.value}\n")
@@ -217,7 +238,7 @@ def _run(
                 if progress is not None:
                     progress(done, len(starts), found)
     finally:
-        # drop queued segments when unwinding on an interrupt or an error
+        # drop queued tasks when unwinding on an interrupt or an error
         pool.shutdown(cancel_futures=True)
     return records
 

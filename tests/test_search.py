@@ -273,27 +273,75 @@ def test_ctrl_c_leaves_resumable_pair(tmp_path, search_1e6):
 
 
 def test_in_flight_window_is_bounded(tmp_path, monkeypatch):
-    workers = 2
-    started = []
+    workers, span = 2, 1024
+    total = (10**6 + 1) // 2
+    started = []  # slots of each segment a worker has started
     violations = []
 
     def scan(lo, hi, primes):
-        started.append(lo)
+        started.append((hi - lo) // 2)
         return []
 
-    def progress(done, total, found):
-        if len(started) > done + search.WINDOW_PER_WORKER * workers:
+    def progress(done, total_segments, found):
+        bound = search.WINDOW_PER_WORKER * workers * max(span, search.TASK_SLOTS)
+        if sum(started) > min(done * span, total) + bound:
             violations.append((done, len(started)))
         if done == 1:
             time.sleep(0.2)  # let the workers drain whatever has been submitted
 
     monkeypatch.setattr(search, "_scan_segment", scan)
     config = SearchConfig(
-        limit=10**6, results_path=tmp_path / "out.txt", segment_span=1024, worker_count=workers
+        limit=10**6, results_path=tmp_path / "out.txt", segment_span=span, worker_count=workers
     )
-    search_range(config, progress=progress)
-    assert len(started) == 489
-    assert violations == []
+    for per_task in (1, 4):  # tasks of one segment, and of four
+        monkeypatch.setattr(search, "TASK_SLOTS", per_task * span)
+        started.clear()
+        search_range(config, progress=progress)
+        assert len(started) == 489 and sum(started) == total
+        assert violations == [], per_task
+
+
+def test_task_edges_keep_bytes_and_checkpoints(tmp_path, monkeypatch):
+    # tasks of 3 segments against checkpoints every 4: checkpoints fall in
+    # the middle of tasks, and the last of the 49 segments is a task alone
+    written = []
+
+    def write_checkpoint(path, cp, inner=search._write_checkpoint):
+        written.append(cp.next_lo)
+        inner(path, cp)
+
+    monkeypatch.setattr(search, "_write_checkpoint", write_checkpoint)
+    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 4)
+
+    def config(name, workers):
+        return SearchConfig(
+            limit=10**5,
+            results_path=tmp_path / name,
+            checkpoint_path=tmp_path / (name + ".cp"),
+            segment_span=1024,
+            worker_count=workers,
+        )
+
+    def searched(per_task, cfg, **kwargs):
+        monkeypatch.setattr(search, "TASK_SLOTS", per_task * 1024)
+        written.clear()
+        search_range(cfg, **kwargs)
+        return cfg.results_path.read_bytes()
+
+    expected = searched(1, config("one.txt", 1))
+    checkpoints = list(written)
+    assert len(checkpoints) == 1 + 12 + 1  # before the header, every 4th, the last
+    for workers in (1, 2):
+        assert searched(3, config(f"three-{workers}.txt", workers)) == expected
+        assert written == checkpoints
+
+    # segment 8 is the middle one of the third task
+    part = config("part.txt", 2)
+    with pytest.raises(KeyboardInterrupt):
+        searched(3, part, progress=interrupt_at(8))
+    assert read_checkpoint(part.checkpoint_path).next_lo == 1 + 2 * 8 * 1024
+    resume(part)
+    assert part.results_path.read_bytes() == expected
 
 
 def test_memory_bounded_at_max_limit(tmp_path, monkeypatch):

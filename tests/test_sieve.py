@@ -338,6 +338,21 @@ HARD_SEGMENTS = [
     (MAX_LIMIT - (1 << 21) + 1, SPAN),
     (31622743 * 31622777 - 2 * 500, 1024),
 ]
+# sha256 of each hard segment's int64 sigma values, and its member slots:
+# exact values, so every correct kernel reproduces them
+HARD_FINGERPRINTS = [
+    [
+        "3d20e2b3cf0fd1f8461552234974101b1833a4394a8dc28260a4aa4315e8ed8d",
+        [0, 1, 7, 67, 157, 292, 409, 577, 682, 742, 1147, 2227, 4504, 4702, 4972, 5557]
+        + [6961, 6982, 8482, 16852, 17167, 20182, 21892, 21937, 31531, 31927, 42412]
+        + [45337, 53212, 54463, 65407],
+    ],
+    ["ef454ae59eee2e0df755f5b6784aa6802119c8ec44bfc882a4347fc1d1963a50", [120, 237, 405, 510, 570, 975]],
+    ["b6d5270d75e3c0a6fb7fbef2ac39056449e2a9a6e3b052fd6f9e457694e83828", []],
+    ["8a9e5d3a0ff4ae50bc987b1141a5d4788e16e9b6e773f9e4c897dc5cce9db628", []],
+    ["f74bb2cbfa3954dabd583e4749500a1a54f9a2debd1a64ac4bd14bc12ebd733d", []],
+    ["07f565927b8df49343fe3af423fa076f9ad16e68fc60383767be381a385dfbc0", []],
+]
 
 # run in a fresh interpreter: argv is the kernel library, then the segments
 _FINGERPRINTS = """
@@ -374,6 +389,8 @@ def _fingerprints(lib, env=None):
 
 
 def test_kernel_builds_clean_and_sanitized(tmp_path):
+    expected = _fingerprints(sieve._KERNEL._name)
+    assert expected == [*HARD_FINGERPRINTS, [0]]
     source = sieve._SOURCE.read_bytes()
     sieve._compile(source, tmp_path / "strict.so", (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
     libasan, libubsan = (
@@ -386,7 +403,5 @@ def test_kernel_builds_clean_and_sanitized(tmp_path):
     sanitize = "-fsanitize=address,undefined,float-cast-overflow"
     flags = ("-O1", "-g", "-shared", "-fPIC", sanitize, "-fno-sanitize-recover=all")
     sieve._compile(source, tmp_path / "sanitized.so", flags)
-    expected = _fingerprints(sieve._KERNEL._name)
-    assert expected[-1] == [0]
     env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
     assert _fingerprints(tmp_path / "sanitized.so", env) == expected
