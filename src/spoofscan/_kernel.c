@@ -2,19 +2,21 @@
 
    Slot i of a segment stands for the odd integer n = lo + 2i. sigma_fill
    keeps two accumulators per slot, the cofactor (n at first) and the
-   partial sigma (1 at first), and pulls every odd prime p <= sqrt(hi - 1)
-   out of its odd multiples, which lie p slots apart. It works through the
-   segment in blocks of BLOCK slots and finishes each block while it is in
-   cache (the segmented sieve of Oliveira e Silva, Herzog and Pardi, Math.
-   Comp. 83, 2014), in four steps:
+   partial sigma (1 at first), side by side in one 16-byte cell, so a hit
+   reads and writes one cache line. It pulls every odd prime
+   p <= sqrt(hi - 1) out of its odd multiples, which lie p slots apart. It
+   works through the segment in blocks of BLOCK cells and finishes each
+   block while it is in cache (the segmented sieve of Oliveira e Silva,
+   Herzog and Pardi, Math. Comp. 83, 2014), in three steps:
 
    1. the odd primes below BLOCK, each carrying its next slot from block
       to block;
    2. the larger primes, which hit a block at most once each: their hits
       in the segment are sorted into per-block buckets once per call;
-   3. the leftover: what is left of the cofactor is 1 or one prime
-      q > sqrt(hi - 1), which contributes q + 1, taken without a branch;
-   4. the membership scan of the block's sigma values.
+   3. one pass over the cells: what is left of the cofactor is 1 or one
+      prime q > sqrt(hi - 1), which contributes q + 1, taken without a
+      branch; the slot's sigma is written out once and tested for
+      membership.
 
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
    and Montgomery, PLDI 1994): c * inv is c / p exactly when p divides c,
@@ -28,7 +30,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* slots per block: a block's sigma values and cofactors fill 512 KiB */
+/* slots per block: a block of cells fills 512 KiB */
 #define BLOCK 32768
 /* the odd primes below BLOCK, pi(32768) - 1; bounds next[] for any input,
    since entries past it go to the buckets, which are exact for any p */
@@ -53,18 +55,23 @@ static uint64_t first_slot(uint64_t lo, uint64_t p)
     return (f - lo) / 2;
 }
 
+/* a slot's cofactor and partial sigma */
+struct cell {
+    uint64_t cof, sig;
+};
+
 /* p divides the slot's cofactor: take out p^e, multiply by 1 + p + ... + p^e */
-static inline void hit(uint64_t *cof, uint64_t *sig, uint64_t p, uint64_t inv)
+static inline void hit(struct cell *cell, uint64_t p, uint64_t inv)
 {
-    uint64_t c = *cof * inv, pe = p, sum = 1 + p, t, back;
+    uint64_t c = cell->cof * inv, pe = p, sum = 1 + p, t, back;
     /* t = c / p exactly when t * p does not overflow */
     while (t = c * inv, !__builtin_mul_overflow(t, p, &back)) {
         c = t;
         pe *= p;
         sum += pe;
     }
-    *cof = c;
-    *sig *= sum;
+    cell->cof = c;
+    cell->sig *= sum;
 }
 
 /* a growing list of one block's large-prime hits, each p << 32 | slot in block */
@@ -87,29 +94,31 @@ static int push(struct bucket *b, uint64_t entry)
     return 0;
 }
 
-/* Write to hits the slots i in [i0, i1) whose n = lo + 2i is a member:
-   d = 2n - sigma is positive and divides sigma. Returns the number of hits. */
+/* 1 when n is a member: d = 2n - s is positive and divides s = sigma(n) */
+static inline int is_member(uint64_t two_n, uint64_t s)
+{
+    uint64_t d = two_n - s;
+    if (s >= two_n)
+        return 0;
+    /* sigma >= 1, and s < 4n / 3 means s / d < 2, so d divides s only when
+       s == d: most slots need no division */
+    if (3 * s < 2 * two_n)
+        return s == d;
+    /* s < 2n < 2^52 converts exactly and, when d divides s, so do d and the
+       quotient, so the float quotient is exact; when d does not divide s, no
+       integer q has q * d == s */
+    return (uint64_t)((double)s / (double)d) * d == s;
+}
+
+/* Write to hits the slots i in [i0, i1) whose n = lo + 2i is a member.
+   Returns the number of hits. */
 uint64_t member_scan(uint64_t lo, uint64_t i0, uint64_t i1, const uint64_t *sig,
                      uint64_t *hits)
 {
     uint64_t count = 0;
-    for (uint64_t i = i0; i < i1; i++) {
-        uint64_t two_n = 2 * (lo + 2 * i), s = sig[i], d = two_n - s;
-        if (s >= two_n)
-            continue;
-        /* sigma >= 1, and s < 4n / 3 means s / d < 2, so d divides s only
-           when s == d: most slots need no division */
-        if (3 * s < 2 * two_n) {
-            if (s == d)
-                hits[count++] = i;
-            continue;
-        }
-        /* s < 2n < 2^52 converts exactly and, when d divides s, so do d and
-           the quotient, so the float quotient is exact; when d does not
-           divide s, no integer q has q * d == s */
-        if ((uint64_t)((double)s / (double)d) * d == s)
+    for (uint64_t i = i0; i < i1; i++)
+        if (is_member(2 * (lo + 2 * i), sig[i]))
             hits[count++] = i;
-    }
     return count;
 }
 
@@ -124,9 +133,9 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
     uint64_t top = lo + 2 * m - 1, blocks = (m + BLOCK - 1) / BLOCK;
     uint64_t next[BLOCK_PRIMES];
     uint64_t k = 0, nb = 0, count = 0, i, j;
-    uint64_t *cof = malloc((m < BLOCK ? m : BLOCK) * sizeof *cof);
+    struct cell *cell = malloc((m < BLOCK ? m : BLOCK) * sizeof *cell);
     struct bucket *bucket = calloc(blocks, sizeof *bucket);
-    int failed = !cof || !bucket;
+    int failed = !cell || !bucket;
 
     while (k < np && primes[k] < 3)
         k++;
@@ -142,34 +151,36 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
 
     for (uint64_t b = 0; !failed && b < blocks; b++) {
         uint64_t b0 = b * BLOCK, len = m - b0 < BLOCK ? m - b0 : BLOCK;
-        uint64_t *s = sig + b0;
         for (i = 0; i < len; i++) {
-            cof[i] = lo + 2 * (b0 + i);
-            s[i] = 1;
+            cell[i].cof = lo + 2 * (b0 + i);
+            cell[i].sig = 1;
         }
         for (j = 0; j < nb; j++) {
             uint64_t p = small[j], inv = inverse(p);
             for (i = next[j]; i < len; i += p)
-                hit(&cof[i], &s[i], p, inv);
+                hit(&cell[i], p, inv);
             next[j] = i - len;
         }
         for (j = 0; j < bucket[b].n; j++) {
             uint64_t p = bucket[b].hit[j] >> 32, at = bucket[b].hit[j] & 0xffffffff;
-            hit(&cof[at], &s[at], p, inverse(p));
+            hit(&cell[at], p, inverse(p));
         }
         free(bucket[b].hit);
         bucket[b].hit = NULL;
         /* c + (c != 1) is 1 for c = 1 and c + 1 for a prime c; a branch on
            c > 1 would be a near coin flip */
-        for (i = 0; i < len; i++)
-            s[i] *= cof[i] + (cof[i] != 1);
-        count += member_scan(lo, b0, b0 + len, sig, hits + count);
+        for (i = 0; i < len; i++) {
+            uint64_t c = cell[i].cof, s = cell[i].sig * (c + (c != 1));
+            sig[b0 + i] = s;
+            if (is_member(2 * (lo + 2 * (b0 + i)), s))
+                hits[count++] = b0 + i;
+        }
     }
 
     if (bucket)
         for (uint64_t b = 0; b < blocks; b++)
             free(bucket[b].hit);
     free(bucket);
-    free(cof);
+    free(cell);
     return failed ? UINT64_MAX : count;
 }

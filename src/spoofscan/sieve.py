@@ -1,7 +1,7 @@
 """Segmented sieve for sigma(n) over odd n in a half-open range.
 
-For each odd n in [lo, hi) the kernel keeps two accumulators: the
-remaining cofactor (initially n) and the partial sigma product
+For each odd n in [lo, hi) the kernel keeps two accumulators in one
+cell: the remaining cofactor (initially n) and the partial sigma product
 (initially 1). For every odd prime p up to sqrt(hi - 1) it visits the
 odd multiples of p, pulls the full power p^e out of the cofactor and
 multiplies the partial sigma by 1 + p + ... + p^e. Whatever cofactor is
@@ -9,9 +9,10 @@ left afterwards is either 1 or a single prime q > sqrt(hi - 1), which
 contributes q + 1. The prime 2 never divides an odd n and is skipped.
 
 The kernel is one C call per segment (_kernel.c). It finishes the
-segment block by block while each block is in cache: the primes below
-the block size, then the larger primes from per-block buckets, then the
-leftover cofactors, then the membership scan, so a segment comes back
+segment block by block while each block's cells are in cache: the
+primes below the block size, then the larger primes from per-block
+buckets, then one pass that takes the leftover cofactors, writes each
+sigma value once and runs the membership scan, so a segment comes back
 with its sigma values and its member slots. The first import compiles
 _kernel.c with `cc` into this package's __pycache__, under a name keyed
 by a checksum of the source and the flags; later imports load that

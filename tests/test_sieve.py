@@ -263,6 +263,8 @@ def test_members_match_check_membership(lo, span, primes_to_root):
         if check_membership(lo + 2 * i, s) is not None
     ]
     assert seg.members.tolist() == expected
+    # sigma_fill's fused pass and the standalone scan agree
+    assert sieve.member_slots(lo, seg.values).tolist() == expected
     if lo == 1:
         assert expected[-1] >= BLOCK
     if lo < 945 < lo + 2 * span:
