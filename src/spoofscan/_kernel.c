@@ -24,8 +24,13 @@
    uint64_t, whose overflow is defined; sieve.py keeps n below 2^51, so
    every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
-   Both functions are reentrant and keep no static state; ctypes releases
-   the GIL around each call, so threads run them in parallel. */
+   sigma_fill's scratch, the block of cells and the per-block buckets, lives
+   in a struct work that the caller owns (work_new, work_free) and passes to
+   every call. It keeps its memory between calls, and the buckets grow only
+   when a call needs more, so once a caller has sieved its largest segment a
+   call allocates nothing. The kernel keeps no static state: calls on distinct
+   works are reentrant, and ctypes releases the GIL around each call, so
+   threads, each with its own work, run them in parallel. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -80,6 +85,32 @@ struct bucket {
     uint64_t n, cap;
 };
 
+/* a caller's scratch, kept from call to call: a bucket per block, and
+   the cells of one block */
+struct work {
+    struct bucket *bucket;
+    uint64_t nbucket;
+    struct cell cell[BLOCK];
+};
+
+/* empty buckets for blocks blocks, keeping their capacity; -1 when memory
+   runs out */
+static int empty_buckets(struct work *w, uint64_t blocks)
+{
+    if (w->nbucket < blocks) {
+        struct bucket *grown = realloc(w->bucket, blocks * sizeof *grown);
+        if (!grown)
+            return -1;
+        for (uint64_t b = w->nbucket; b < blocks; b++)
+            grown[b] = (struct bucket){0};
+        w->bucket = grown;
+        w->nbucket = blocks;
+    }
+    for (uint64_t b = 0; b < blocks; b++)
+        w->bucket[b].n = 0;
+    return 0;
+}
+
 static int push(struct bucket *b, uint64_t entry)
 {
     if (b->n == b->cap) {
@@ -123,19 +154,19 @@ uint64_t member_scan(uint64_t lo, uint64_t i0, uint64_t i1, const uint64_t *sig,
 }
 
 /* Fill sig[0..m) with sigma(lo + 2i) and write the member slots, ascending,
-   to hits. primes is ascending and holds every odd prime up to
-   sqrt(hi - 1), hi = lo + 2m; 2 and the primes above sqrt(hi - 1) are
-   skipped. Returns the number of members, or UINT64_MAX when memory runs
-   out. */
-uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np,
-                    uint64_t *sig, uint64_t *hits)
+   to hits, using w for scratch. primes is ascending and holds every odd
+   prime up to sqrt(hi - 1), hi = lo + 2m; 2 and the primes above
+   sqrt(hi - 1) are skipped. Returns the number of members, or UINT64_MAX
+   when memory runs out; w stays valid either way. */
+uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *primes,
+                    uint64_t np, uint64_t *sig, uint64_t *hits)
 {
     uint64_t top = lo + 2 * m - 1, blocks = (m + BLOCK - 1) / BLOCK;
     uint64_t next[BLOCK_PRIMES];
     uint64_t k = 0, nb = 0, count = 0, i, j;
-    struct cell *cell = malloc((m < BLOCK ? m : BLOCK) * sizeof *cell);
-    struct bucket *bucket = calloc(blocks, sizeof *bucket);
-    int failed = !cell || !bucket;
+    int failed = empty_buckets(w, blocks) != 0;
+    struct cell *cell = w->cell;
+    struct bucket *bucket = w->bucket;
 
     while (k < np && primes[k] < 3)
         k++;
@@ -165,8 +196,6 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
             uint64_t p = bucket[b].hit[j] >> 32, at = bucket[b].hit[j] & 0xffffffff;
             hit(&cell[at], p, inverse(p));
         }
-        free(bucket[b].hit);
-        bucket[b].hit = NULL;
         /* c + (c != 1) is 1 for c = 1 and c + 1 for a prime c; a branch on
            c > 1 would be a near coin flip */
         for (i = 0; i < len; i++) {
@@ -176,11 +205,26 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
                 hits[count++] = b0 + i;
         }
     }
-
-    if (bucket)
-        for (uint64_t b = 0; b < blocks; b++)
-            free(bucket[b].hit);
-    free(bucket);
-    free(cell);
     return failed ? UINT64_MAX : count;
+}
+
+/* work_new and work_free come after sigma_fill so that sigma_fill keeps its
+   place in the built library: the kernel's speed depends on where its code
+   lands (CHANGES.md) */
+
+/* a caller's scratch for sigma_fill, empty; NULL when memory runs out */
+struct work *work_new(void)
+{
+    return calloc(1, sizeof(struct work));
+}
+
+/* frees w and all it holds; w may be NULL */
+void work_free(struct work *w)
+{
+    if (!w)
+        return;
+    for (uint64_t b = 0; b < w->nbucket; b++)
+        free(w->bucket[b].hit);
+    free(w->bucket);
+    free(w);
 }

@@ -53,12 +53,17 @@ def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an ascending int64 array."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    # odd[i] stands for 2i + 1, so the mask is half the size and no pass
+    # strikes even numbers; p's odd multiples from p^2 on lie p slots apart
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = (2 * np.flatnonzero(odd) + 1).astype(np.int64, copy=False)
+    # slot 0 stands for 1, which is not prime; 2 takes its place
+    primes[0] = 2
+    return primes
 
 
 # Deterministic Miller-Rabin witness set. This fixed base set is proven

@@ -18,12 +18,21 @@ _kernel.c with `cc` into this package's __pycache__, under a name keyed
 by a checksum of the source and the flags; later imports load that
 library. ctypes releases the GIL for each call, so worker threads sieve
 in parallel.
+
+Each thread keeps its own workspace: the kernel's scratch (a block of
+cells and the per-block buckets, grown to the thread's largest segment
+so far) and the buffer the kernel writes member slots to. So after a
+thread's first segment a call allocates only the sigma values it returns.
+A workspace belongs to the library that made it, and it is freed when its
+thread ends (a search's worker threads end with the search).
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
+import weakref
 import zlib
 from dataclasses import dataclass
 from math import isqrt
@@ -61,7 +70,11 @@ def _bind(lib: Path) -> ctypes.CDLL:
     """Load a built kernel library and declare its functions."""
     kernel = ctypes.CDLL(str(lib))
     ptr = ctypes.c_void_p
-    kernel.sigma_fill.argtypes = [_U64, _U64, ptr, _U64, ptr, ptr]
+    kernel.work_new.argtypes = []
+    kernel.work_new.restype = ptr
+    kernel.work_free.argtypes = [ptr]
+    kernel.work_free.restype = None
+    kernel.sigma_fill.argtypes = [ptr, _U64, _U64, ptr, _U64, ptr, ptr]
     kernel.sigma_fill.restype = _U64
     kernel.member_scan.argtypes = [_U64, _U64, _U64, ptr, ptr]
     kernel.member_scan.restype = _U64
@@ -93,6 +106,34 @@ def _compile(source: bytes, lib: Path, cflags: tuple[str, ...] = _CFLAGS) -> Non
 
 
 _KERNEL = _load_kernel()
+
+
+class _Workspace:
+    """One thread's kernel scratch, made by `kernel`, and its hits buffer."""
+
+    def __init__(self, kernel: ctypes.CDLL):
+        work = kernel.work_new()
+        if not work:
+            raise MemoryError("sieve kernel could not allocate its workspace")
+        self.kernel = kernel
+        self.work = work
+        self.hits = np.empty(0, dtype=np.int64)
+        # holds work_free itself: module globals may be gone at interpreter exit
+        weakref.finalize(self, kernel.work_free, work)
+
+
+_LOCAL = threading.local()
+
+
+def _workspace(kernel: ctypes.CDLL, slots: int) -> _Workspace:
+    """This thread's workspace for `kernel`, with room for `slots` hits."""
+    ws = getattr(_LOCAL, "workspace", None)
+    # a workspace is never passed to a library other than its own
+    if ws is None or ws.kernel is not kernel:
+        ws = _LOCAL.workspace = _Workspace(kernel)
+    if len(ws.hits) < slots:
+        ws.hits = np.empty(slots, dtype=np.int64)
+    return ws
 
 
 @dataclass(frozen=True)
@@ -164,15 +205,15 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
     primes = np.ascontiguousarray(primes, dtype=np.int64)
     _check_prime_cover(primes, hi)
 
+    ws = _workspace(_KERNEL, slots)
     sig = np.empty(slots, dtype=np.int64)
-    hits = np.empty(slots, dtype=np.int64)
-    count = _KERNEL.sigma_fill(
-        lo, slots, primes.ctypes.data, len(primes), sig.ctypes.data, hits.ctypes.data
+    count = ws.kernel.sigma_fill(
+        ws.work, lo, slots, primes.ctypes.data, len(primes), sig.ctypes.data, ws.hits.ctypes.data
     )
     if count > slots:
         raise MemoryError(f"sieve kernel ran out of memory on [{lo}, {hi})")
-    # a copy, so the segment does not keep the whole hits buffer alive
-    return SigmaSegment(lo=lo, hi=hi, values=sig, members=hits[:count].copy())
+    # a copy: the hits buffer is this thread's, reused by its next call
+    return SigmaSegment(lo=lo, hi=hi, values=sig, members=ws.hits[:count].copy())
 
 
 def member_slots(lo: int, values: np.ndarray) -> np.ndarray:

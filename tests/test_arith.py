@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from spoofscan.arith import (
@@ -70,6 +72,24 @@ def test_sieve_primes_against_naive():
     mask = naive_prime_mask(10**4)
     expected = [n for n in range(10**4 + 1) if mask[n]]
     assert sieve_primes(10**4).tolist() == expected
+
+
+def test_sieve_primes_every_small_limit():
+    # the reference is is_prime, which shares no code with the sieve
+    reference = [n for n in range(2001) if is_prime(n)]
+    for limit in range(2001):
+        expected = reference[: bisect_right(reference, limit)]
+        assert sieve_primes(limit).tolist() == expected, limit
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 97, 211])
+def test_sieve_primes_around_prime_squares(p):
+    # p^2 is the least multiple that only p strikes out
+    reference = [n for n in range(p * p + 2) if is_prime(n)]
+    for limit in (p * p - 1, p * p, p * p + 1):
+        primes = sieve_primes(limit)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == reference[: bisect_right(reference, limit)], limit
 
 
 def test_is_prime_examples():

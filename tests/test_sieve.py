@@ -1,7 +1,10 @@
+import gc
 import json
 import os
+import resource
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from spoofscan import sieve
 from spoofscan.arith import is_prime, sieve_primes, sigma_single
 from spoofscan.membership import check_membership
-from spoofscan.search import MAX_LIMIT
+from spoofscan.search import MAX_LIMIT, SearchConfig, search_range
 from spoofscan.sieve import MAX_HI, MAX_SPAN, SigmaSegment, sigma_segment
 
 # slots per block of the C kernel: primes below it run block by block,
@@ -307,6 +310,84 @@ def test_segment_type_invariants():
         SigmaSegment(lo=1, hi=11, values=np.ones(4, dtype=np.int64), members=none)
 
 
+def _warm_call_faults(primes):
+    """Minor faults this thread takes in three sigma_segment calls on
+    2^20-slot segments just below 10^12, after two warm-up calls."""
+    span = 1 << 20
+    los = [10**12 - 2 * span * k + 1 for k in range(5, 0, -1)]
+    for lo in los[:2]:
+        sigma_segment(lo, lo + 2 * span, primes)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for lo in los[2:]:
+        sigma_segment(lo, lo + 2 * span, primes)
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+
+def test_warm_calls_allocate_nothing(primes_1e6):
+    # each thread keeps the kernel's cells and buckets and its hits buffer,
+    # so a warm call touches no fresh page; a call that allocates them
+    # afresh takes ~1.2k minor faults here
+    faults = {"main": _warm_call_faults(primes_1e6)}
+    with ThreadPoolExecutor(1) as pool:
+        faults["worker"] = pool.submit(_warm_call_faults, primes_1e6).result(timeout=60)
+    assert all(n < 64 for n in faults.values()), faults
+
+
+def _workspaces():
+    return [obj for obj in gc.get_objects() if isinstance(obj, sieve._Workspace)]
+
+
+def test_worker_workspaces_end_with_the_search(tmp_path):
+    sigma_segment(1, 11, sieve_primes(3))
+    main = sieve._LOCAL.workspace
+    during = []
+
+    def progress(done, total, found):
+        # counted, not kept: a reference would keep a workspace alive
+        if done == total:
+            during.append(len(_workspaces()))
+
+    config = SearchConfig(10**7, tmp_path / "out.txt", segment_span=4096, worker_count=2)
+    search_range(config, progress=progress)
+    # the main thread's and one for each of the two pool threads
+    assert during == [3]
+    # the pool threads have ended and freed theirs
+    assert [ws for ws in _workspaces() if ws is not main] == []
+
+
+_EXIT = """
+import threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from spoofscan import sieve
+primes = np.array([3], dtype=np.int64)
+sieve.sigma_segment(1, 11, primes)
+# left running: its workspace is freed as the interpreter joins it at exit
+pool = ThreadPoolExecutor(1)
+pool.submit(sieve.sigma_segment, 1, 11, primes).result()
+
+def idle():
+    threading.Event().wait()
+
+# a daemon thread still blocked at exit keeps this module, and through it the
+# sieve module, alive into module teardown, which sets the sieve module's
+# globals to None before it drops the main thread's workspace
+threading.Thread(target=idle, daemon=True).start()
+"""
+
+
+def test_interpreter_exits_cleanly_with_workspaces():
+    src = str(Path(sieve.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _EXIT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_kernel_build_cache(tmp_path):
     kernel = sieve._load_kernel(tmp_path)
     [lib] = tmp_path.iterdir()
@@ -356,9 +437,13 @@ HARD_FINGERPRINTS = [
     ["07f565927b8df49343fe3af423fa076f9ad16e68fc60383767be381a385dfbc0", []],
 ]
 
-# run in a fresh interpreter: argv is the kernel library, then the segments
+# run in a fresh interpreter: argv is the kernel library, then the segments.
+# Each thread reuses its workspace from call to call, so the segments run in
+# order, then in reverse on the same thread (spans shrink and grow, and lo
+# moves between 10^12 and 10^15), then both ways on two threads at once
 _FINGERPRINTS = """
 import hashlib, json, sys
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 import numpy as np
 from spoofscan import sieve
@@ -366,14 +451,24 @@ from spoofscan.arith import sieve_primes
 sieve._KERNEL = sieve._bind(sys.argv[1])
 segments = json.loads(sys.argv[2])
 primes = sieve_primes(isqrt(max(lo + 2 * span for lo, span in segments)))
-out = []
-for lo, span in segments:
-    seg = sieve.sigma_segment(lo, lo + 2 * span, primes)
-    out.append([hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.members.tolist()])
+
+def run(order):
+    out = {}
+    for k in order:
+        lo, span = segments[k]
+        seg = sieve.sigma_segment(lo, lo + 2 * span, primes)
+        out[k] = [hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.members.tolist()]
+    return [out[k] for k in range(len(segments))]
+
+forward, backward = range(len(segments)), range(len(segments))[::-1]
+runs = {"forward": run(forward), "reversed": run(backward)}
+with ThreadPoolExecutor(2) as pool:
+    runs["thread forward"], runs["thread reversed"] = pool.map(run, [forward, backward])
 lo = sieve.MAX_HI - 5
-out.append(sieve.member_slots(lo, np.array([2 * lo - 1, 2 * lo - 3])).tolist())
-print(json.dumps(out))
+runs["scan"] = sieve.member_slots(lo, np.array([2 * lo - 1, 2 * lo - 3])).tolist()
+print(json.dumps(runs))
 """
+_RUNS = ("forward", "reversed", "thread forward", "thread reversed")
 
 
 def _fingerprints(lib, env=None):
@@ -392,7 +487,7 @@ def _fingerprints(lib, env=None):
 
 def test_kernel_builds_clean_and_sanitized(tmp_path):
     expected = _fingerprints(sieve._KERNEL._name)
-    assert expected == [*HARD_FINGERPRINTS, [0]]
+    assert expected == {**dict.fromkeys(_RUNS, HARD_FINGERPRINTS), "scan": [0]}
     source = sieve._SOURCE.read_bytes()
     sieve._compile(source, tmp_path / "strict.so", (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
     libasan, libubsan = (
