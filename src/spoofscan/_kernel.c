@@ -16,7 +16,7 @@
    3. one pass over the cells: what is left of the cofactor is 1 or one
       prime q > sqrt(hi - 1), which contributes q + 1, taken without a
       branch; the slot's sigma is written out once and tested for
-      membership.
+      membership. This pass is the kernel's only membership scan.
 
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
    and Montgomery, PLDI 1994): c * inv is c / p exactly when p divides c,
@@ -30,7 +30,11 @@
    when a call needs more, so once a caller has sieved its largest segment a
    call allocates nothing. The kernel keeps no static state: calls on distinct
    works are reentrant, and ctypes releases the GIL around each call, so
-   threads, each with its own work, run them in parallel. */
+   threads, each with its own work, run them in parallel.
+
+   The library exports work_new, work_free and sigma_fill, in that order:
+   the order sets where sigma_fill lands in the built library, on which its
+   speed depends (CHANGES.md). */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -141,16 +145,24 @@ static inline int is_member(uint64_t two_n, uint64_t s)
     return (uint64_t)((double)s / (double)d) * d == s;
 }
 
-/* Write to hits the slots i in [i0, i1) whose n = lo + 2i is a member.
-   Returns the number of hits. */
-uint64_t member_scan(uint64_t lo, uint64_t i0, uint64_t i1, const uint64_t *sig,
-                     uint64_t *hits)
+/* work_new and work_free come first: sigma_fill after them sits at the
+   same offset modulo 64 as in the builds its speed was measured on */
+
+/* a caller's scratch for sigma_fill, empty; NULL when memory runs out */
+struct work *work_new(void)
 {
-    uint64_t count = 0;
-    for (uint64_t i = i0; i < i1; i++)
-        if (is_member(2 * (lo + 2 * i), sig[i]))
-            hits[count++] = i;
-    return count;
+    return calloc(1, sizeof(struct work));
+}
+
+/* frees w and all it holds; w may be NULL */
+void work_free(struct work *w)
+{
+    if (!w)
+        return;
+    for (uint64_t b = 0; b < w->nbucket; b++)
+        free(w->bucket[b].hit);
+    free(w->bucket);
+    free(w);
 }
 
 /* Fill sig[0..m) with sigma(lo + 2i) and write the member slots, ascending,
@@ -206,25 +218,4 @@ uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *pri
         }
     }
     return failed ? UINT64_MAX : count;
-}
-
-/* work_new and work_free come after sigma_fill so that sigma_fill keeps its
-   place in the built library: the kernel's speed depends on where its code
-   lands (CHANGES.md) */
-
-/* a caller's scratch for sigma_fill, empty; NULL when memory runs out */
-struct work *work_new(void)
-{
-    return calloc(1, sizeof(struct work));
-}
-
-/* frees w and all it holds; w may be NULL */
-void work_free(struct work *w)
-{
-    if (!w)
-        return;
-    for (uint64_t b = 0; b < w->nbucket; b++)
-        free(w->bucket[b].hit);
-    free(w->bucket);
-    free(w);
 }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from math import log
 
@@ -178,22 +179,9 @@ def ratio_decimal(value: Fraction, sig: int = 17) -> str:
     num, den = value.numerator, value.denominator
     if not 0 < num <= den:
         raise ValueError(f"ratio must be in (0, 1], got {value}")
-    if num == den:
-        return "1"
-    zeros = 0
-    v = num
-    while v < den:
-        v *= 10
-        zeros += 1
-    q, r = divmod(num * 10 ** (zeros + sig - 1), den)
-    if 2 * r >= den:
-        q += 1
-    if q >= 10**sig:
-        q //= 10
-        zeros -= 1
-        if zeros == 0:
-            return "1"
-    return "0." + "0" * (zeros - 1) + str(q).rstrip("0")
+    # the quotient of two exact Decimals, rounded once to sig digits
+    context = Context(prec=sig, rounding=ROUND_HALF_UP)
+    return format(context.divide(Decimal(num), Decimal(den)).normalize(context), "f")
 
 
 def decade_csv(rows: list[tuple[int, int]]) -> str:

@@ -12,8 +12,10 @@ The kernel is one C call per segment (_kernel.c). It finishes the
 segment block by block while each block's cells are in cache: the
 primes below the block size, then the larger primes from per-block
 buckets, then one pass that takes the leftover cofactors, writes each
-sigma value once and runs the membership scan, so a segment comes back
-with its sigma values and its member slots. The first import compiles
+sigma value once and runs the membership scan (the kernel's only one),
+so a segment comes back with its sigma values and its member slots. The
+order of the kernel's functions is set for code placement, on which its
+speed depends (see _kernel.c). The first import compiles
 _kernel.c with `cc` into this package's __pycache__, under a name keyed
 by a checksum of the source and the flags; later imports load that
 library. ctypes releases the GIL for each call, so worker threads sieve
@@ -24,7 +26,9 @@ cells and the per-block buckets, grown to the thread's largest segment
 so far) and the buffer the kernel writes member slots to. So after a
 thread's first segment a call allocates only the sigma values it returns.
 A workspace belongs to the library that made it, and it is freed when its
-thread ends (a search's worker threads end with the search).
+thread ends (a search's worker threads end with the search). One still
+held at interpreter exit is left to the operating system: a daemon thread
+may still be inside the kernel with it.
 """
 
 from __future__ import annotations
@@ -76,8 +80,6 @@ def _bind(lib: Path) -> ctypes.CDLL:
     kernel.work_free.restype = None
     kernel.sigma_fill.argtypes = [ptr, _U64, _U64, ptr, _U64, ptr, ptr]
     kernel.sigma_fill.restype = _U64
-    kernel.member_scan.argtypes = [_U64, _U64, _U64, ptr, ptr]
-    kernel.member_scan.restype = _U64
     return kernel
 
 
@@ -118,8 +120,9 @@ class _Workspace:
         self.kernel = kernel
         self.work = work
         self.hits = np.empty(0, dtype=np.int64)
-        # holds work_free itself: module globals may be gone at interpreter exit
-        weakref.finalize(self, kernel.work_free, work)
+        # freed when its thread ends, never at interpreter exit, when a daemon
+        # thread may still be inside the kernel with it
+        weakref.finalize(self, kernel.work_free, work).atexit = False
 
 
 _LOCAL = threading.local()
@@ -215,13 +218,3 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
     # a copy: the hits buffer is this thread's, reused by its next call
     return SigmaSegment(lo=lo, hi=hi, values=sig, members=ws.hits[:count].copy())
 
-
-def member_slots(lo: int, values: np.ndarray) -> np.ndarray:
-    """The kernel's membership scan on given values: the slots i where
-    d = 2n - values[i] > 0 divides values[i], with n = lo + 2i."""
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    if lo < 1 or lo % 2 == 0 or lo + 2 * len(values) > MAX_HI:
-        raise ValueError(f"need odd lo >= 1 and lo + 2 * len(values) <= 2^51, got lo={lo}")
-    hits = np.empty(len(values), dtype=np.int64)
-    count = _KERNEL.member_scan(lo, 0, len(values), values.ctypes.data, hits.ctypes.data)
-    return hits[:count]

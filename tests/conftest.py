@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ def sigma_table_1e6():
     """
     limit = 10**6
     table = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        table[d::d] += d
+    # each divisor pair d * k = n with d <= k adds d and k, once when k == d
+    for d in range(1, isqrt(limit) + 1):
+        k = np.arange(d, limit // d + 1)
+        table[d * k] += d + np.where(k != d, k, 0)
     return table
 
 

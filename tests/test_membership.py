@@ -67,12 +67,6 @@ def test_bruteforce_limit_guard():
         membership_bruteforce(10**7 + 1)
 
 
-def test_forms_agree_exhaustively_to_1e5(sigma_table_1e6):
-    for n in range(1, 10**5, 2):
-        sigma_n = int(sigma_table_1e6[n])
-        assert check_membership(n, sigma_n) == check_membership_fraction(n, sigma_n), n
-
-
 def test_accepted_pairs_satisfy_identity(bruteforce_1e4):
     for rec in bruteforce_1e4:
         sigma_n = sigma_single(rec.n)

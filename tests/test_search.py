@@ -1,7 +1,6 @@
 import time
 from math import isqrt
 
-import numpy as np
 import pytest
 
 from spoofscan import search
@@ -19,7 +18,7 @@ from spoofscan.search import (
     _scan_segment,
     search_range,
 )
-from spoofscan.sieve import MAX_HI, member_slots
+from spoofscan.sieve import MAX_HI
 
 
 def interrupt_at(segment):
@@ -110,20 +109,6 @@ def test_scan_segment_matches_membership(lo):
             expected.append((n, s, x))
     assert expected
     assert _scan_segment(lo, hi, sieve_primes(isqrt(hi))) == expected
-
-
-def test_scan_segment_skips_perfect_and_abundant_slots():
-    # the kernel's scan, which sigma_segment runs for _scan_segment, on fake
-    # values: sigma = 2n (d = 0) and an abundant slot whose -d divides sigma
-    # are no members
-    fake = np.array([2, 4, 20, 8, 13], dtype=np.int64)
-    assert member_slots(1, fake).tolist() == [1]
-    # sigma = 2n - 1, so d = 1, in the last slot below the cap: the float
-    # quotient of sigma ~ 2^52 must be exact; the slot above is rejected
-    lo = MAX_HI - 3
-    assert member_slots(lo, np.array([2 * lo - 1], dtype=np.int64)).tolist() == [0]
-    with pytest.raises(ValueError, match="2\\^51"):
-        member_slots(lo + 2, np.array([2 * lo + 3], dtype=np.int64))
 
 
 def test_limit_bound(tmp_path):

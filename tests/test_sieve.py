@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,11 +20,20 @@ from spoofscan.membership import check_membership
 from spoofscan.search import MAX_LIMIT, SearchConfig, search_range
 from spoofscan.sieve import MAX_HI, MAX_SPAN, SigmaSegment, sigma_segment
 
+
+def _kernel_define(name):
+    """The value of an integer #define in the kernel's source."""
+    return int(re.search(rf"^#define {name} (\d+)$", sieve._SOURCE.read_text(), re.M)[1])
+
+
 # slots per block of the C kernel: primes below it run block by block,
-# larger ones through per-block buckets
-BLOCK = 32768
-# the first primes above BLOCK, and one far above it
-P1, P2, Q = 32771, 32779, 999983
+# larger ones through per-block buckets; BLOCK_PRIMES bounds the former
+BLOCK, BLOCK_PRIMES = _kernel_define("BLOCK"), _kernel_define("BLOCK_PRIMES")
+_PRIMES = sieve_primes(2 * BLOCK)
+# the last prime below BLOCK, the first two above it, and one far above it
+P0 = int(_PRIMES[_PRIMES < BLOCK][-1])
+P1, P2 = _PRIMES[_PRIMES > BLOCK][:2].tolist()
+Q = 999983
 # two full blocks and a partial third
 SPAN = 2 * BLOCK + 1001
 
@@ -53,6 +63,11 @@ def _sigma_by_trial_division(n, primes):
             term += pe
         sigma *= term
     return sigma * (rest + 1) if rest > 1 else sigma
+
+
+def test_block_primes_counts_the_odd_primes_below_block():
+    # sigma_fill carries one next slot per odd prime below BLOCK
+    assert BLOCK_PRIMES == np.count_nonzero(_PRIMES < BLOCK) - 1
 
 
 def test_first_odd_values():
@@ -125,25 +140,27 @@ def test_sparse_band_prime_square(p, k, span, primes_1e6):
     assert p <= bound
 
 
-@pytest.mark.parametrize("p", [32749, 32771])  # the primes on either side of BLOCK
-@pytest.mark.parametrize("k", [1, 3, 25])  # p^3 * 25 < MAX_LIMIT
+@pytest.mark.parametrize("p", [P0, P1])  # the primes on either side of BLOCK
+@pytest.mark.parametrize("k", [1, 3, 25])
 def test_block_edge_prime_powers(p, k, primes_to_root):
-    assert is_prime(p) and (p < BLOCK) == (p == 32749)
+    assert is_prime(p) and (p < BLOCK) == (p == P0)
     oracle = lambda n: _sigma_by_trial_division(n, primes_to_root)  # noqa: E731
-    for e in (2, 3):
-        # a segment across the block edge, so p^e * k lies in its second block
-        n = p**e * k
+    # p^e * k for every e >= 2 up to MAX_LIMIT (p^2 and p^3 at BLOCK = 32768)
+    n = p * p * k
+    while n <= MAX_LIMIT:
+        # a segment across the block edge, so n lies in its second block
         lo = n - 2 * (BLOCK + 100)
         seg = sigma_segment(lo, lo + 2 * (2 * BLOCK + 17), primes_to_root)
-        assert seg.sigma_of(n) == oracle(n), (p, e, k)
+        assert seg.sigma_of(n) == oracle(n), (p, n, k)
         _check_around(n, 1 << 10, primes_to_root, oracle)
+        n *= p
 
 
 def test_block_edges_match_single_block_segments(primes_1e6):
     # three full blocks and 17 slots; the run of the largest block prime
-    # 32749 starts at slot 60, crosses each block edge and ends in the
+    # P0 starts at slot 60, crosses each block edge and ends in the
     # partial last block
-    p, span = 32749, 3 * BLOCK + 17
+    p, span = P0, 3 * BLOCK + 17
     lo = p * 30519 - 2 * 60
     assert 3 * BLOCK <= 60 + 3 * p < span
     hi = lo + 2 * span
@@ -197,9 +214,9 @@ def test_matches_sigma_single_random_segments(lo, span, picks, primes_1e6):
 
 @pytest.mark.parametrize("lo", [10**13 + 1, 10**14 + 1, MAX_LIMIT - (1 << 21) + 1])
 def test_matches_trial_division_above_1e12(lo, primes_to_root):
-    span = 1 << 16
+    span = 2 * BLOCK
     seg = sigma_segment(lo, lo + 2 * span, primes_to_root)
-    for i in (0, 1, 4099, 32767, 32768, 50021, span - 1):
+    for i in (0, 1, 4099, BLOCK - 1, BLOCK, BLOCK + 17253, span - 1):
         assert seg.values[i] == _sigma_by_trial_division(lo + 2 * i, primes_to_root), (lo, i)
 
 
@@ -266,8 +283,6 @@ def test_members_match_check_membership(lo, span, primes_to_root):
         if check_membership(lo + 2 * i, s) is not None
     ]
     assert seg.members.tolist() == expected
-    # sigma_fill's fused pass and the standalone scan agree
-    assert sieve.member_slots(lo, seg.values).tolist() == expected
     if lo == 1:
         assert expected[-1] >= BLOCK
     if lo < 945 < lo + 2 * span:
@@ -356,36 +371,48 @@ def test_worker_workspaces_end_with_the_search(tmp_path):
 
 
 _EXIT = """
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-import numpy as np
 from spoofscan import sieve
-primes = np.array([3], dtype=np.int64)
+from spoofscan.arith import sieve_primes
+primes = sieve_primes(10**6 + 1000)
 sieve.sigma_segment(1, 11, primes)
 # left running: its workspace is freed as the interpreter joins it at exit
 pool = ThreadPoolExecutor(1)
 pool.submit(sieve.sigma_segment, 1, 11, primes).result()
+started = threading.Event()
 
-def idle():
-    threading.Event().wait()
+def sieve_on():
+    started.set()
+    lo = 10**12 + 1
+    while True:
+        sieve.sigma_segment(lo, lo + 2**21, primes)
+        lo += 2**21
 
-# a daemon thread still blocked at exit keeps this module, and through it the
-# sieve module, alive into module teardown, which sets the sieve module's
-# globals to None before it drops the main thread's workspace
-threading.Thread(target=idle, daemon=True).start()
+# a daemon thread is most likely inside the kernel, with its workspace, when
+# the main thread returns, and it is still alive during module teardown
+threading.Thread(target=sieve_on, daemon=True).start()
+started.wait()
+time.sleep(float(sys.argv[1]))
 """
 
 
 def test_interpreter_exits_cleanly_with_workspaces():
     src = str(Path(sieve.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", _EXIT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert (done.returncode, done.stderr) == (0, "")
+    # glibc then maps the 512 KiB kernel scratch on its own, so a workspace
+    # freed under a running kernel call faults at once
+    env = {**os.environ, "PYTHONPATH": src, "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
+    for delay in ("0.01", "0.04", "0.08"):
+        done = subprocess.run(
+            [sys.executable, "-c", _EXIT, delay],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), delay
 
 
 def test_kernel_build_cache(tmp_path):
@@ -412,13 +439,14 @@ def test_kernel_build_names_missing_compiler(tmp_path, monkeypatch):
 # segments a build of the kernel must reproduce: members in several blocks
 # and around 945, a block prime's carry into a partial last block, two
 # bucketed primes in one slot near 10^12, buckets and leftovers near
-# MAX_LIMIT, and the leftover just above sqrt(hi - 1) there
+# MAX_LIMIT, and the leftover just above sqrt(hi - 1) there. Literal data
+# (the block edges of BLOCK = 32768), so that any block size reproduces them
 HARD_SEGMENTS = [
-    (1, SPAN),
+    (1, 66537),
     (945 - 2 * 300, 1024),
-    (32749 * 30519 - 2 * 60, 3 * BLOCK + 17),
-    ((10**12 // (P1 * P2) - 1 | 1) * P1 * P2 - 2 * 7000, SPAN),
-    (MAX_LIMIT - (1 << 21) + 1, SPAN),
+    (32749 * 30519 - 2 * 60, 98321),
+    ((10**12 // (32771 * 32779) - 1 | 1) * 32771 * 32779 - 2 * 7000, 66537),
+    (MAX_LIMIT - (1 << 21) + 1, 66537),
     (31622743 * 31622777 - 2 * 500, 1024),
 ]
 # sha256 of each hard segment's int64 sigma values, and its member slots:
@@ -445,7 +473,6 @@ _FINGERPRINTS = """
 import hashlib, json, sys
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
-import numpy as np
 from spoofscan import sieve
 from spoofscan.arith import sieve_primes
 sieve._KERNEL = sieve._bind(sys.argv[1])
@@ -464,18 +491,36 @@ forward, backward = range(len(segments)), range(len(segments))[::-1]
 runs = {"forward": run(forward), "reversed": run(backward)}
 with ThreadPoolExecutor(2) as pool:
     runs["thread forward"], runs["thread reversed"] = pool.map(run, [forward, backward])
-lo = sieve.MAX_HI - 5
-runs["scan"] = sieve.member_slots(lo, np.array([2 * lo - 1, 2 * lo - 3])).tolist()
 print(json.dumps(runs))
 """
 _RUNS = ("forward", "reversed", "thread forward", "thread reversed")
 
+# the test builds append this wrapper, so that the kernel's membership
+# predicate can be probed on fake values: (2n, sigma, member)
+PROBE = b"\nuint64_t probe_is_member(uint64_t two_n, uint64_t s) { return is_member(two_n, s); }\n"
+_TWO_N = 2 * (MAX_HI - 3)
+PROBE_CASES = [
+    (2, 2, 0),  # n = 1, sigma = 2n: d = 0
+    (6, 4, 1),  # n = 3: d = 2 divides sigma = 4
+    (10, 20, 0),  # n = 5, abundant: -d = 10 divides sigma, but d < 0
+    (_TWO_N, _TWO_N - 1, 1),  # d = 1 near MAX_HI: the float quotient ~2^52 must be exact
+    (_TWO_N, _TWO_N - 7, 0),  # d = 7 does not divide sigma there
+]
+# run in a fresh interpreter: argv is a test build, then the cases
+_PROBE = """
+import ctypes, json, sys
+probe = ctypes.CDLL(sys.argv[1]).probe_is_member
+probe.argtypes, probe.restype = [ctypes.c_uint64] * 2, ctypes.c_uint64
+print(json.dumps([probe(two_n, s) for two_n, s, _ in json.loads(sys.argv[2])]))
+"""
 
-def _fingerprints(lib, env=None):
+
+def _python(script, *args, env=None):
+    """The JSON that `script` prints, run in a fresh interpreter on this package."""
     src = str(Path(sieve.__file__).parents[1])
     env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", _FINGERPRINTS, str(lib), json.dumps(HARD_SEGMENTS)],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
@@ -486,10 +531,14 @@ def _fingerprints(lib, env=None):
 
 
 def test_kernel_builds_clean_and_sanitized(tmp_path):
-    expected = _fingerprints(sieve._KERNEL._name)
-    assert expected == {**dict.fromkeys(_RUNS, HARD_FINGERPRINTS), "scan": [0]}
-    source = sieve._SOURCE.read_bytes()
-    sieve._compile(source, tmp_path / "strict.so", (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
+    segments = json.dumps(HARD_SEGMENTS)
+    fingerprints = _python(_FINGERPRINTS, sieve._KERNEL._name, segments)
+    assert fingerprints == dict.fromkeys(_RUNS, HARD_FINGERPRINTS)
+    source = sieve._SOURCE.read_bytes() + PROBE
+    strict = tmp_path / "strict.so"
+    sieve._compile(source, strict, (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
+    cases, members = json.dumps(PROBE_CASES), [member for *_, member in PROBE_CASES]
+    assert _python(_PROBE, strict, cases) == members
     libasan, libubsan = (
         subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True)
         .stdout.strip()
@@ -499,6 +548,8 @@ def test_kernel_builds_clean_and_sanitized(tmp_path):
         pytest.skip("no sanitizer runtime")
     sanitize = "-fsanitize=address,undefined,float-cast-overflow"
     flags = ("-O1", "-g", "-shared", "-fPIC", sanitize, "-fno-sanitize-recover=all")
-    sieve._compile(source, tmp_path / "sanitized.so", flags)
+    sanitized = tmp_path / "sanitized.so"
+    sieve._compile(source, sanitized, flags)
     env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
-    assert _fingerprints(tmp_path / "sanitized.so", env) == expected
+    assert _python(_FINGERPRINTS, sanitized, segments, env=env) == fingerprints
+    assert _python(_PROBE, sanitized, cases, env=env) == members
