@@ -15,8 +15,11 @@
       in the segment are sorted into per-block buckets once per call;
    3. one pass over the cells: what is left of the cofactor is 1 or one
       prime q > sqrt(hi - 1), which contributes q + 1, taken without a
-      branch; the slot's sigma is written out once and tested for
-      membership. This pass is the kernel's only membership scan.
+      branch; the slot's sigma is tested for membership, and a member's
+      slot and sigma go out as a pair. The sigma of every slot is written
+      out too, unless the caller passes no array for it (a search reads
+      sigma only at members). This pass is the kernel's only membership
+      scan.
 
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
    and Montgomery, PLDI 1994): c * inv is c / p exactly when p divides c,
@@ -165,9 +168,10 @@ void work_free(struct work *w)
     free(w);
 }
 
-/* Fill sig[0..m) with sigma(lo + 2i) and write the member slots, ascending,
-   to hits, using w for scratch. primes is ascending and holds every odd
-   prime up to sqrt(hi - 1), hi = lo + 2m; 2 and the primes above
+/* Write each member slot i, ascending, to hits as the pair i, sigma(lo + 2i),
+   and, unless sig is NULL, fill sig[0..m) with sigma(lo + 2i); w is the
+   scratch. hits has room for m pairs. primes is ascending and holds every
+   odd prime up to sqrt(hi - 1), hi = lo + 2m; 2 and the primes above
    sqrt(hi - 1) are skipped. Returns the number of members, or UINT64_MAX
    when memory runs out; w stays valid either way. */
 uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *primes,
@@ -212,9 +216,13 @@ uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *pri
            c > 1 would be a near coin flip */
         for (i = 0; i < len; i++) {
             uint64_t c = cell[i].cof, s = cell[i].sig * (c + (c != 1));
-            sig[b0 + i] = s;
-            if (is_member(2 * (lo + 2 * (b0 + i)), s))
-                hits[count++] = b0 + i;
+            if (sig)
+                sig[b0 + i] = s;
+            if (is_member(2 * (lo + 2 * (b0 + i)), s)) {
+                hits[2 * count] = b0 + i;
+                hits[2 * count + 1] = s;
+                count++;
+            }
         }
     }
     return failed ? UINT64_MAX : count;

@@ -73,7 +73,10 @@ TASK_SLOTS = 1 << 18
 # that finishes a task finds the next one queued even while the writer
 # waits on an older, slower one, and a queued task holds no arrays; at
 # most WINDOW_PER_WORKER x workers x max(span, TASK_SLOTS) slots are in
-# flight, 8 x workers x 2^20 at the default span
+# flight, 8 x workers x 2^20 at the default span. A task sieves without
+# a values array (sigma_segment(..., values=False)): a finished task holds
+# only its members, and a worker's memory is its kernel scratch and hits
+# buffer, reused from task to task
 WINDOW_PER_WORKER = 8
 
 
@@ -111,11 +114,10 @@ class Checkpoint:
 
 def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
     """(n, sigma, x) for every member in [lo, hi)."""
-    seg = sigma_segment(lo, hi, primes)
+    seg = sigma_segment(lo, hi, primes, values=False)
     out = []
-    for i in seg.members.tolist():
+    for i, s in zip(seg.members.tolist(), seg.member_sigma.tolist()):
         n = lo + 2 * i
-        s = int(seg.values[i])
         out.append((n, s, s // (2 * n - s)))
     return out
 

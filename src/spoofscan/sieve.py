@@ -11,34 +11,37 @@ contributes q + 1. The prime 2 never divides an odd n and is skipped.
 The kernel is one C call per segment (_kernel.c). It finishes the
 segment block by block while each block's cells are in cache: the
 primes below the block size, then the larger primes from per-block
-buckets, then one pass that takes the leftover cofactors, writes each
-sigma value once and runs the membership scan (the kernel's only one),
-so a segment comes back with its sigma values and its member slots. The
-order of the kernel's functions is set for code placement, on which its
-speed depends (see _kernel.c). The first import compiles
-_kernel.c with `cc` into this package's __pycache__, under a name keyed
-by a checksum of the source and the flags; later imports load that
-library. ctypes releases the GIL for each call, so worker threads sieve
-in parallel.
+buckets, then one pass that takes the leftover cofactors and runs the
+membership scan (the kernel's only one), so a segment comes back with
+its member slots, each with its sigma, and, unless the caller asks for
+none, the sigma value of every slot. The order of the kernel's functions
+is set for code placement, on which its speed depends (see _kernel.c).
+The first import compiles _kernel.c with `cc` into this package's
+__pycache__, under a name keyed by a checksum of the source and the
+flags, and deletes the builds of earlier sources there; later imports
+load that library. ctypes releases the GIL for each call, so worker
+threads sieve in parallel.
 
 Each thread keeps its own workspace: the kernel's scratch (a block of
 cells and the per-block buckets, grown to the thread's largest segment
-so far) and the buffer the kernel writes member slots to. So after a
-thread's first segment a call allocates only the sigma values it returns.
-A workspace belongs to the library that made it, and it is freed when its
-thread ends (a search's worker threads end with the search). One still
-held at interpreter exit is left to the operating system: a daemon thread
-may still be inside the kernel with it.
+so far) and the buffer the kernel writes member pairs to, 16 bytes per
+slot but touched only at members. So after a thread's first segment a
+call without values (the search's) allocates only its members, and one
+with values adds the values array it returns. A workspace belongs to the
+library that made it, and it is freed when its thread ends (a search's
+worker threads end with the search). One still held at interpreter exit
+is left to the operating system: a daemon thread may still be inside the
+kernel with it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import threading
 import weakref
 import zlib
-from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
 
@@ -48,7 +51,10 @@ from .arith import is_prime
 
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
-# Odd slots per segment: default working set is two 8 MiB int64 arrays.
+# Odd slots per segment. A thread's kernel scratch is 512 KiB of cells plus
+# buckets that grow with the segment (~2.4 MB near 10^12 at this span), and
+# its hits buffer reserves 16 bytes per slot (16 MiB here) but touches them
+# only at members; values=True adds an 8 MiB int64 array per segment.
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
 # Above every search (MAX_LIMIT + 2 < 2^51). Below it sigma(n) < 4n < 2^53,
@@ -67,6 +73,11 @@ def _load_kernel(cache_dir: Path = _SOURCE.parent / "__pycache__") -> ctypes.CDL
     lib = cache_dir / f"_kernel-{key:08x}.so"
     if not lib.exists():
         _compile(source, lib)
+        # builds of earlier sources; a process that has one loaded keeps it
+        for stale in cache_dir.glob("_kernel-*.so"):
+            if stale != lib:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     return _bind(lib)
 
 
@@ -111,7 +122,8 @@ _KERNEL = _load_kernel()
 
 
 class _Workspace:
-    """One thread's kernel scratch, made by `kernel`, and its hits buffer."""
+    """One thread's kernel scratch, made by `kernel`, and its hits buffer
+    of (slot, sigma) pairs."""
 
     def __init__(self, kernel: ctypes.CDLL):
         work = kernel.work_new()
@@ -119,7 +131,7 @@ class _Workspace:
             raise MemoryError("sieve kernel could not allocate its workspace")
         self.kernel = kernel
         self.work = work
-        self.hits = np.empty(0, dtype=np.int64)
+        self.hits = np.empty((0, 2), dtype=np.int64)
         # freed when its thread ends, never at interpreter exit, when a daemon
         # thread may still be inside the kernel with it
         weakref.finalize(self, kernel.work_free, work).atexit = False
@@ -135,30 +147,38 @@ def _workspace(kernel: ctypes.CDLL, slots: int) -> _Workspace:
     if ws is None or ws.kernel is not kernel:
         ws = _LOCAL.workspace = _Workspace(kernel)
     if len(ws.hits) < slots:
-        ws.hits = np.empty(slots, dtype=np.int64)
+        ws.hits = np.empty((slots, 2), dtype=np.int64)
     return ws
 
 
-@dataclass(frozen=True)
 class SigmaSegment:
-    """sigma values for the odd integers in [lo, hi); values[i] = sigma(lo + 2i).
+    """sigma over the odd integers in [lo, hi); values[i] = sigma(lo + 2i).
 
     members holds, ascending, the slots i whose n = lo + 2i is a member:
-    d = 2n - sigma(n) > 0 divides sigma(n).
+    d = 2n - sigma(n) > 0 divides sigma(n); member_sigma holds their sigma
+    values (values[members], by default). A segment made without values
+    but with the primes sieves [lo, hi) again on the first read of values,
+    and keeps them.
     """
 
-    lo: int
-    hi: int
-    values: np.ndarray
-    members: np.ndarray
-
-    def __post_init__(self):
-        if self.lo < 1 or self.lo % 2 == 0:
-            raise ValueError(f"lo must be odd and >= 1, got {self.lo}")
-        if self.hi <= self.lo or self.hi % 2 == 0:
-            raise ValueError(f"hi must be odd-aligned and > lo, got {self.hi}")
-        if len(self.values) != (self.hi - self.lo) // 2:
+    def __init__(self, lo, hi, members, member_sigma=None, values=None, primes=None):
+        if lo < 1 or lo % 2 == 0:
+            raise ValueError(f"lo must be odd and >= 1, got {lo}")
+        if hi <= lo or hi % 2 == 0:
+            raise ValueError(f"hi must be odd-aligned and > lo, got {hi}")
+        if values is None and primes is None:
+            raise ValueError("need the values or the primes to sieve them")
+        if values is not None and len(values) != (hi - lo) // 2:
             raise ValueError("values length does not match [lo, hi)")
+        self.lo, self.hi, self.members = lo, hi, members
+        self.member_sigma = values[members] if member_sigma is None else member_sigma
+        self._values, self._primes = values, primes
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = sigma_segment(self.lo, self.hi, self._primes).values
+        return self._values
 
     def sigma_of(self, n: int) -> int:
         if n < self.lo or n >= self.hi or n % 2 == 0:
@@ -185,13 +205,15 @@ def _check_prime_cover(primes: np.ndarray, hi: int) -> None:
         q += 2
 
 
-def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
-    """Compute sigma for every odd integer in [lo, hi).
+def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) -> SigmaSegment:
+    """Compute sigma for every odd integer in [lo, hi), and its members.
 
     `primes` must be an ascending array containing every odd prime up to
-    sqrt(hi - 1); extra primes are ignored. Raises ValueError when the
-    prime list is insufficient, when (hi - lo) / 2 exceeds MAX_SPAN and
-    when hi exceeds MAX_HI.
+    sqrt(hi - 1); extra primes are ignored. With values=False the kernel
+    keeps sigma only at members, and the segment computes its values
+    when they are first read. Raises ValueError when the prime list is
+    insufficient, when (hi - lo) / 2 exceeds MAX_SPAN and when hi
+    exceeds MAX_HI, and MemoryError when the kernel runs out of memory.
     """
     if lo < 1 or lo % 2 == 0:
         raise ValueError(f"lo must be odd and >= 1, got {lo}")
@@ -209,12 +231,19 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray) -> SigmaSegment:
     _check_prime_cover(primes, hi)
 
     ws = _workspace(_KERNEL, slots)
-    sig = np.empty(slots, dtype=np.int64)
+    sig = np.empty(slots, dtype=np.int64) if values else None
     count = ws.kernel.sigma_fill(
-        ws.work, lo, slots, primes.ctypes.data, len(primes), sig.ctypes.data, ws.hits.ctypes.data
+        ws.work,
+        lo,
+        slots,
+        primes.ctypes.data,
+        len(primes),
+        None if sig is None else sig.ctypes.data,
+        ws.hits.ctypes.data,
     )
     if count > slots:
         raise MemoryError(f"sieve kernel ran out of memory on [{lo}, {hi})")
-    # a copy: the hits buffer is this thread's, reused by its next call
-    return SigmaSegment(lo=lo, hi=hi, values=sig, members=ws.hits[:count].copy())
+    # copies: the hits buffer is this thread's, reused by its next call
+    members, member_sigma = ws.hits[:count].T.copy()
+    return SigmaSegment(lo, hi, members, member_sigma, values=sig, primes=primes)
 

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spoofscan import sieve
+from spoofscan import search, sieve
 from spoofscan.arith import is_prime, sieve_primes, sigma_single
 from spoofscan.membership import check_membership
 from spoofscan.search import MAX_LIMIT, SearchConfig, search_range
@@ -348,6 +349,24 @@ def test_warm_calls_allocate_nothing(primes_1e6):
     assert all(n < 64 for n in faults.values()), faults
 
 
+def test_search_segments_allocate_no_values(primes_1e6):
+    # numpy reports its arrays to tracemalloc; the search's sieve call keeps
+    # sigma only at members, while one with values holds 8 bytes per slot
+    lo = 10**12 + 1
+    hi = lo + 2 * (1 << 20)
+    search._scan_segment(lo, hi, primes_1e6)  # this thread's workspace grows
+    tracemalloc.start()
+    try:
+        search._scan_segment(lo, hi, primes_1e6)
+        lean = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sigma_segment(lo, hi, primes_1e6)
+        eager = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lean < 1 << 20 and eager >= 8 << 20, (lean, eager)
+
+
 def _workspaces():
     return [obj for obj in gc.get_objects() if isinstance(obj, sieve._Workspace)]
 
@@ -415,19 +434,30 @@ def test_interpreter_exits_cleanly_with_workspaces():
         assert (done.returncode, done.stderr) == (0, ""), delay
 
 
-def test_kernel_build_cache(tmp_path):
+def test_kernel_build_cache(tmp_path, monkeypatch):
+    # a build of an earlier source goes when the current one is built;
+    # other names, such as another process's temporary file, stay
+    stale = tmp_path / "_kernel-00000000.so"
+    others = ["_sieve-0c10275e76cf9bf0.so", "_kernel-00000000.so.99.tmp"]
+    for name in [stale.name, *others]:
+        (tmp_path / name).write_bytes(b"not a shared library")
     kernel = sieve._load_kernel(tmp_path)
-    [lib] = tmp_path.iterdir()
-    assert kernel._name == str(lib) and lib.name.startswith("_kernel-")
+    [lib] = tmp_path.glob("_kernel-*.so")
+    assert kernel._name == str(lib) and lib != stale
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([lib.name, *others])
     built = lib.stat().st_mtime_ns
     # builds under another key or name are never loaded: not libraries at all
     other_key = "".join("1" if c == "0" else "0" for c in lib.stem.removeprefix("_kernel-"))
-    for name in (f"_kernel-{other_key}.so", "_sieve-0c10275e76cf9bf0.so"):
-        (tmp_path / name).write_bytes(b"not a shared library")
+    (tmp_path / f"_kernel-{other_key}.so").write_bytes(b"not a shared library")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("a warm import ran a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
     again = sieve._load_kernel(tmp_path)
     assert again._name == str(lib)
     assert lib.stat().st_mtime_ns == built
-    assert len(list(tmp_path.iterdir())) == 3  # no temporary file left behind
+    assert len(list(tmp_path.iterdir())) == 4  # no temporary file left behind
 
 
 def test_kernel_build_names_missing_compiler(tmp_path, monkeypatch):
@@ -466,9 +496,11 @@ HARD_FINGERPRINTS = [
 ]
 
 # run in a fresh interpreter: argv is the kernel library, then the segments.
-# Each thread reuses its workspace from call to call, so the segments run in
-# order, then in reverse on the same thread (spans shrink and grow, and lo
-# moves between 10^12 and 10^15), then both ways on two threads at once
+# Each segment is sieved without values (sig == NULL in the kernel), then
+# with them, and the members and their sigma must agree. Each thread reuses
+# its workspace from call to call, so the segments run in order, then in
+# reverse on the same thread (spans shrink and grow, and lo moves between
+# 10^12 and 10^15), then both ways on two threads at once
 _FINGERPRINTS = """
 import hashlib, json, sys
 from concurrent.futures import ThreadPoolExecutor
@@ -483,7 +515,12 @@ def run(order):
     out = {}
     for k in order:
         lo, span = segments[k]
+        lean = sieve.sigma_segment(lo, lo + 2 * span, primes, values=False)
         seg = sieve.sigma_segment(lo, lo + 2 * span, primes)
+        if lean.members.tolist() != seg.members.tolist() or (
+            lean.member_sigma.tolist() != seg.values[seg.members].tolist()
+        ):
+            sys.exit(f"values=False disagrees with values=True on {segments[k]}")
         out[k] = [hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.members.tolist()]
     return [out[k] for k in range(len(segments))]
 
@@ -553,3 +590,58 @@ def test_kernel_builds_clean_and_sanitized(tmp_path):
     env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
     assert _python(_FINGERPRINTS, sanitized, segments, env=env) == fingerprints
     assert _python(_PROBE, sanitized, cases, env=env) == members
+
+
+# segments whose members and block edges meet: members in three blocks and
+# a partial fourth, and segments ending just before, at and after a block
+BLOCK_EDGE_SEGMENTS = [(1, 3 * BLOCK + 17), (1, BLOCK - 1), (1, BLOCK), (1, BLOCK + 1)]
+
+
+@pytest.mark.parametrize("lo, span", HARD_SEGMENTS + BLOCK_EDGE_SEGMENTS)
+def test_values_false_keeps_members_and_their_sigma(lo, span, primes_to_root):
+    eager = sigma_segment(lo, lo + 2 * span, primes_to_root)
+    lean = sigma_segment(lo, lo + 2 * span, primes_to_root, values=False)
+    assert lean.members.tolist() == eager.members.tolist()
+    assert lean.member_sigma.tolist() == eager.values[eager.members].tolist()
+    # values are sieved again on the first read
+    assert np.array_equal(lean.values, eager.values)
+
+
+# run in a fresh interpreter: argv is a segment [lo, span]. After a warm-up
+# that sizes the thread's hits buffer, the process lowers its own address
+# space limit to just above its size, so the buckets of a segment near
+# MAX_LIMIT (~32 MiB) cannot grow; then it restores the limit and sieves
+# the given segment on the same thread
+_OUT_OF_MEMORY = """
+import hashlib, json, resource, sys
+from math import isqrt
+from spoofscan import sieve
+from spoofscan.arith import sieve_primes
+from spoofscan.search import MAX_LIMIT
+lo, span = json.loads(sys.argv[1])
+primes = sieve_primes(isqrt(MAX_LIMIT) + 1000)
+big = 1 << 22
+# every prime below sqrt(2^23) is under BLOCK, so no bucket grows here
+sieve.sigma_segment(1, 1 + 2 * big, primes, values=False)
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (size + (8 << 20), hard))
+try:
+    sieve.sigma_segment(MAX_LIMIT - 2 * big + 1, MAX_LIMIT + 1, primes, values=False)
+    failed = None
+except MemoryError as exc:
+    failed = str(exc)
+finally:
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+seg = sieve.sigma_segment(lo, lo + 2 * span, primes)
+print(json.dumps([failed, hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.members.tolist()]))
+"""
+
+
+def test_kernel_out_of_memory_raises_and_the_thread_recovers():
+    # only the child's own soft limit moves; the segment after it is the
+    # hard segment near MAX_LIMIT, whose fingerprint is known
+    failed, *fingerprint = _python(_OUT_OF_MEMORY, json.dumps(HARD_SEGMENTS[4]))
+    assert failed is not None and "ran out of memory" in failed
+    assert fingerprint == HARD_FINGERPRINTS[4]
