@@ -11,8 +11,10 @@
 
    1. the odd primes below BLOCK, each carrying its next slot from block
       to block;
-   2. the larger primes, which hit a block at most once each: their hits
-      in the segment are sorted into per-block buckets once per call;
+   2. the larger primes, which hit a block at most once each: each waits
+      in the list of the block of its next hit, and when that block comes
+      it takes its hit and moves on to the list of the block after, so a
+      list holds at most one entry per prime;
    3. one pass over the cells: what is left of the cofactor is 1 or one
       prime q > sqrt(hi - 1), which contributes q + 1, taken without a
       branch; the slot's sigma is tested for membership, and a member's
@@ -27,13 +29,16 @@
    uint64_t, whose overflow is defined; sieve.py keeps n below 2^51, so
    every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
-   sigma_fill's scratch, the block of cells and the per-block buckets, lives
+   sigma_fill's scratch, the block of cells and the per-block lists, lives
    in a struct work that the caller owns (work_new, work_free) and passes to
-   every call. It keeps its memory between calls, and the buckets grow only
-   when a call needs more, so once a caller has sieved its largest segment a
-   call allocates nothing. The kernel keeps no static state: calls on distinct
-   works are reentrant, and ctypes releases the GIL around each call, so
-   threads, each with its own work, run them in parallel.
+   every call. The lists are built from chunks of 8 KiB, which go back to a
+   spare list once their block is done, so at any span they hold about 8
+   bytes per prime from BLOCK to sqrt(hi - 1) plus one partial chunk per
+   block. The work keeps its chunks between calls and takes a new one only
+   when its spares run out, so once a caller has sieved its largest segment
+   a call allocates nothing. The kernel keeps no static state: calls on
+   distinct works are reentrant, and ctypes releases the GIL around each
+   call, so threads, each with its own work, run them in parallel.
 
    The library exports work_new, work_free and sigma_fill, in that order:
    the order sets where sigma_fill lands in the built library, on which its
@@ -45,7 +50,7 @@
 /* slots per block: a block of cells fills 512 KiB */
 #define BLOCK 32768
 /* the odd primes below BLOCK, pi(32768) - 1; bounds next[] for any input,
-   since entries past it go to the buckets, which are exact for any p */
+   since primes past it go to the block lists, which are exact for any p */
 #define BLOCK_PRIMES 3511
 
 static uint64_t inverse(uint64_t p)
@@ -67,9 +72,11 @@ static uint64_t first_slot(uint64_t lo, uint64_t p)
     return (f - lo) / 2;
 }
 
-/* a slot's cofactor and partial sigma */
+/* a slot's cofactor and partial sigma; aligned to its size, so that no
+   cell straddles two cache lines */
 struct cell {
-    uint64_t cof, sig;
+    _Alignas(16) uint64_t cof;
+    uint64_t sig;
 };
 
 /* p divides the slot's cofactor: take out p^e, multiply by 1 + p + ... + p^e */
@@ -86,49 +93,79 @@ static inline void hit(struct cell *cell, uint64_t p, uint64_t inv)
     cell->sig *= sum;
 }
 
-/* a growing list of one block's large-prime hits, each p << 32 | slot in block */
-struct bucket {
-    uint64_t *hit;
-    uint64_t n, cap;
+/* entries per chunk of a block's list: a chunk fills 8 KiB */
+#define CHUNK 1022
+
+/* a piece of one block's list of large primes, each entry p << 32 | the
+   slot in that block of p's next hit */
+struct chunk {
+    struct chunk *next;
+    uint64_t n;
+    uint64_t entry[CHUNK];
 };
 
-/* a caller's scratch, kept from call to call: a bucket per block, and
-   the cells of one block */
+/* a caller's scratch, kept from call to call: a list of chunks per block,
+   the spare chunks, and the cells of one block */
 struct work {
-    struct bucket *bucket;
-    uint64_t nbucket;
+    struct chunk **list;
+    uint64_t nlist;
+    struct chunk *spare;
     struct cell cell[BLOCK];
 };
 
-/* empty buckets for blocks blocks, keeping their capacity; -1 when memory
-   runs out */
-static int empty_buckets(struct work *w, uint64_t blocks)
+/* empties a list, handing its chunks back to the spares */
+static void to_spares(struct work *w, struct chunk **list)
 {
-    if (w->nbucket < blocks) {
-        struct bucket *grown = realloc(w->bucket, blocks * sizeof *grown);
+    for (struct chunk *c = *list, *next; c; c = next) {
+        next = c->next;
+        c->next = w->spare;
+        w->spare = c;
+    }
+    *list = NULL;
+}
+
+/* room for the lists of blocks blocks, all empty between calls; -1 when
+   memory runs out */
+static int grow_lists(struct work *w, uint64_t blocks)
+{
+    if (w->nlist < blocks) {
+        struct chunk **grown = realloc(w->list, blocks * sizeof *grown);
         if (!grown)
             return -1;
-        for (uint64_t b = w->nbucket; b < blocks; b++)
-            grown[b] = (struct bucket){0};
-        w->bucket = grown;
-        w->nbucket = blocks;
+        for (uint64_t b = w->nlist; b < blocks; b++)
+            grown[b] = NULL;
+        w->list = grown;
+        w->nlist = blocks;
     }
-    for (uint64_t b = 0; b < blocks; b++)
-        w->bucket[b].n = 0;
     return 0;
 }
 
-static int push(struct bucket *b, uint64_t entry)
+/* a new first chunk for the list of block b, a spare one if there is one;
+   -1 when memory runs out. Out of line: inlined into both pushes in
+   sigma_fill, it slowed the small-prime loop there by ~5% near 10^8 */
+static __attribute__((noinline)) int new_chunk(struct work *w, uint64_t b)
 {
-    if (b->n == b->cap) {
-        uint64_t cap = b->cap ? 2 * b->cap : 1024;
-        uint64_t *grown = realloc(b->hit, cap * sizeof *grown);
-        if (!grown)
+    struct chunk *fresh = w->spare;
+    if (fresh)
+        w->spare = fresh->next;
+    else if (!(fresh = malloc(sizeof *fresh)))
+        return -1;
+    fresh->next = w->list[b];
+    fresh->n = 0;
+    w->list[b] = fresh;
+    return 0;
+}
+
+/* appends entry to the list of block b; -1 when memory runs out */
+static inline int push(struct work *w, uint64_t b, uint64_t entry)
+{
+    struct chunk *c = w->list[b];
+    if (!c || c->n == CHUNK) {
+        if (new_chunk(w, b))
             return -1;
-        b->hit = grown;
-        b->cap = cap;
+        c = w->list[b];
     }
-    b->hit[b->n++] = entry;
+    c->entry[c->n++] = entry;
     return 0;
 }
 
@@ -162,9 +199,11 @@ void work_free(struct work *w)
 {
     if (!w)
         return;
-    for (uint64_t b = 0; b < w->nbucket; b++)
-        free(w->bucket[b].hit);
-    free(w->bucket);
+    for (struct chunk *c = w->spare, *next; c; c = next) {
+        next = c->next;
+        free(c);
+    }
+    free(w->list);
     free(w);
 }
 
@@ -180,9 +219,8 @@ uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *pri
     uint64_t top = lo + 2 * m - 1, blocks = (m + BLOCK - 1) / BLOCK;
     uint64_t next[BLOCK_PRIMES];
     uint64_t k = 0, nb = 0, count = 0, i, j;
-    int failed = empty_buckets(w, blocks) != 0;
+    int failed = grow_lists(w, blocks) != 0;
     struct cell *cell = w->cell;
-    struct bucket *bucket = w->bucket;
 
     while (k < np && primes[k] < 3)
         k++;
@@ -191,10 +229,10 @@ uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *pri
        slot, counted from the start of the current block */
     for (; k < np && primes[k] < BLOCK && primes[k] <= top / primes[k] && nb < BLOCK_PRIMES; k++)
         next[nb++] = first_slot(lo, primes[k]);
-    /* every hit of a larger prime goes to the bucket of its block */
+    /* a larger prime waits in the list of the block of its first hit */
     for (; !failed && k < np && primes[k] <= top / primes[k]; k++)
-        for (i = first_slot(lo, primes[k]); !failed && i < m; i += primes[k])
-            failed = push(&bucket[i / BLOCK], primes[k] << 32 | i % BLOCK) != 0;
+        if ((i = first_slot(lo, primes[k])) < m)
+            failed = push(w, i / BLOCK, primes[k] << 32 | i % BLOCK) != 0;
 
     for (uint64_t b = 0; !failed && b < blocks; b++) {
         uint64_t b0 = b * BLOCK, len = m - b0 < BLOCK ? m - b0 : BLOCK;
@@ -208,10 +246,21 @@ uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *pri
                 hit(&cell[i], p, inv);
             next[j] = i - len;
         }
-        for (j = 0; j < bucket[b].n; j++) {
-            uint64_t p = bucket[b].hit[j] >> 32, at = bucket[b].hit[j] & 0xffffffff;
-            hit(&cell[at], p, inverse(p));
-        }
+        /* each listed prime hits its cell, then waits in the list of the
+           block of its next hit, a later one: p >= len unless the input
+           holds more than BLOCK_PRIMES primes below BLOCK, and then p takes
+           all its hits in this block first */
+        for (struct chunk *at = w->list[b]; !failed && at; at = at->next)
+            for (j = 0; !failed && j < at->n; j++) {
+                uint64_t p = at->entry[j] >> 32, inv = inverse(p);
+                i = at->entry[j] & 0xffffffff;
+                do
+                    hit(&cell[i], p, inv);
+                while ((i += p) < len);
+                if (b0 + i < m)
+                    failed = push(w, (b0 + i) / BLOCK, p << 32 | (b0 + i) % BLOCK) != 0;
+            }
+        to_spares(w, &w->list[b]);
         /* c + (c != 1) is 1 for c = 1 and c + 1 for a prime c; a branch on
            c > 1 would be a near coin flip */
         for (i = 0; i < len; i++) {
@@ -225,5 +274,11 @@ uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *pri
             }
         }
     }
-    return failed ? UINT64_MAX : count;
+    if (failed) {
+        /* the lists are empty between calls */
+        for (uint64_t b = 0; b < w->nlist; b++)
+            to_spares(w, &w->list[b]);
+        return UINT64_MAX;
+    }
+    return count;
 }

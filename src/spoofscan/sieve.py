@@ -9,29 +9,29 @@ left afterwards is either 1 or a single prime q > sqrt(hi - 1), which
 contributes q + 1. The prime 2 never divides an odd n and is skipped.
 
 The kernel is one C call per segment (_kernel.c). It finishes the
-segment block by block while each block's cells are in cache: the
-primes below the block size, then the larger primes from per-block
-buckets, then one pass that takes the leftover cofactors and runs the
-membership scan (the kernel's only one), so a segment comes back with
-its member slots, each with its sigma, and, unless the caller asks for
-none, the sigma value of every slot. The order of the kernel's functions
-is set for code placement, on which its speed depends (see _kernel.c).
-The first import compiles _kernel.c with `cc` into this package's
-__pycache__, under a name keyed by a checksum of the source and the
-flags, and deletes the builds of earlier sources there; later imports
-load that library. ctypes releases the GIL for each call, so worker
-threads sieve in parallel.
+segment block by block while each block's cells are in cache: the primes
+below the block size, then the larger primes, each waiting in the list
+of the block of its next hit, then one pass that takes the leftover
+cofactors and runs the membership scan (the kernel's only one), so a
+segment comes back with its member slots, each with its sigma, and,
+unless the caller asks for none, the sigma value of every slot. The
+order of the kernel's functions is set for code placement, on which its
+speed depends (see _kernel.c). The first import compiles _kernel.c with
+`cc` into this package's __pycache__, under a name keyed by a checksum
+of the source and the flags, and deletes the builds of earlier sources
+there; later imports load that library. ctypes releases the GIL for each
+call, so worker threads sieve in parallel.
 
 Each thread keeps its own workspace: the kernel's scratch (a block of
-cells and the per-block buckets, grown to the thread's largest segment
-so far) and the buffer the kernel writes member pairs to, 16 bytes per
-slot but touched only at members. So after a thread's first segment a
-call without values (the search's) allocates only its members, and one
-with values adds the values array it returns. A workspace belongs to the
-library that made it, and it is freed when its thread ends (a search's
-worker threads end with the search). One still held at interpreter exit
-is left to the operating system: a daemon thread may still be inside the
-kernel with it.
+cells and the per-block lists, whose pooled chunks hold at most one
+entry per sieving prime) and the buffer the kernel writes member pairs
+to, 16 bytes per slot but touched only at members. So after a thread's
+first segment a call without values (the search's) allocates only its
+members, and one with values adds the values array it returns. A
+workspace belongs to the library that made it, and it is freed when its
+thread ends (a search's worker threads end with the search). One still
+held at interpreter exit is left to the operating system: a daemon
+thread may still be inside the kernel with it.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from .arith import is_prime
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
 # Odd slots per segment. A thread's kernel scratch is 512 KiB of cells plus
-# buckets that grow with the segment (~2.4 MB near 10^12 at this span), and
-# its hits buffer reserves 16 bytes per slot (16 MiB here) but touches them
+# block lists of at most 8 bytes per sieving prime and a partial 8 KiB chunk
+# per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 at MAX_SPAN),
+# and its hits buffer reserves 16 bytes per slot (16 MiB here) but touches them
 # only at members; values=True adds an 8 MiB int64 array per segment.
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24

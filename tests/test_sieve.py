@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import re
@@ -28,7 +29,7 @@ def _kernel_define(name):
 
 
 # slots per block of the C kernel: primes below it run block by block,
-# larger ones through per-block buckets; BLOCK_PRIMES bounds the former
+# larger ones through per-block lists; BLOCK_PRIMES bounds the former
 BLOCK, BLOCK_PRIMES = _kernel_define("BLOCK"), _kernel_define("BLOCK_PRIMES")
 _PRIMES = sieve_primes(2 * BLOCK)
 # the last prime below BLOCK, the first two above it, and one far above it
@@ -340,9 +341,9 @@ def _warm_call_faults(primes):
 
 
 def test_warm_calls_allocate_nothing(primes_1e6):
-    # each thread keeps the kernel's cells and buckets and its hits buffer,
+    # each thread keeps the kernel's cells and list chunks and its hits buffer,
     # so a warm call touches no fresh page; a call that allocates them
-    # afresh takes ~1.2k minor faults here
+    # afresh takes ~0.5k-0.9k minor faults here
     faults = {"main": _warm_call_faults(primes_1e6)}
     with ThreadPoolExecutor(1) as pool:
         faults["worker"] = pool.submit(_warm_call_faults, primes_1e6).result(timeout=60)
@@ -607,11 +608,63 @@ def test_values_false_keeps_members_and_their_sigma(lo, span, primes_to_root):
     assert np.array_equal(lean.values, eager.values)
 
 
+# the byte-equality sweep every kernel change must pass: lo from 1 to
+# MAX_LIMIT, spans from 1024 to 2^20, among them the block edges of
+# BLOCK = 32768 (32767, 32768 and 32769 slots) and segments that shrink and
+# grow the workspace from one call to the next; Descartes' 9018009 is slot
+# 500 of the eighth. Literal data, like HARD_SEGMENTS
+SWEEP_SEGMENTS = [
+    (1, 1024), (1, 32767), (1, 32768), (1, 32769),
+    (613, 4096), (61309, 1 << 20), (612373, 98321),
+    (9018009 - 2 * 500, 1024), (38461539, 65536), (384615383, 1 << 18),
+    (3846153847, 1024), (38461538461, 32767), (384615384617, 32768),
+    (10**12 + 1, 32769), (3846153846155, 1 << 20), (38461538461539, 132073),
+    (384615384615385, 32769), (999999000000001, 32768),
+    (MAX_LIMIT - (1 << 22) + 1, 32767), (MAX_LIMIT - (1 << 21) + 1, 1 << 20),
+]
+# sha256 of each sweep segment's int64 sigma values followed by its int64
+# member slots: exact values, so every correct kernel reproduces them
+SWEEP_FINGERPRINTS = [
+    "f146da1ef99c955403971418a04feb38f3fd4154ce822eb6098ec89a2c3236b4",
+    "659ec241844b6523c2b282426dc3986906d21298aab23dd7dfc5d8473780665d",
+    "907dc48e0ada1b3a3f546800d06d5ecfdf4126a7cb70d979f9ee3da48095927e",
+    "c88156dafd3d652ee0234fe137649aca0d97d46abdbe9f0d73320dceaa16dc48",
+    "2543c26384fd3361cc47453e3da23eb1a665f9ec3b699d5d7f5d88606009e5f1",
+    "f2b9800c71b42021a570a4ac3af717a8bb04ddc0d61c416206bc446c517afee4",
+    "9046932091863dab47a3e0cfb6e2998eb26f10f94c2302906656d464fb581200",
+    "3665b0e4a3a6e694d420ad5c958c91a63670d81f561095589123ee11765a4d6b",
+    "deabab1304087a7bfed57aca818dabc4422d4c26088eed84eee38ce16a3dc387",
+    "88a619126480889fea698d6f984934e5f82805948d3604cfab09d8f726b8ae44",
+    "a1c8f1599b043467eda63d29c6134421e79b52a06360ed9c3e4ac51266ecc00d",
+    "f7cbadf0639fbc441f171225e869b137d93b6aa8cbc8fdc2cee1f32ce677e73a",
+    "b3b1ee5ea5bd2e55af18f61d0f296db221c9b20e6edd55b3c05d5db888e13eb7",
+    "dacbee7a72735a7d7b41df31bbd3c25a71b3a7bb5810659283853f565cbb8dff",
+    "44ea98d345f3e05129f26b23e058d547be211b13ef1e4209d5d7f0eb5f0390ac",
+    "43cf91025864a13a6bf63efe4226c9a7000f8d9bfb70566e9fb8322faca1d708",
+    "79069e748d756701ef0cf73c48db8d3a5887f0eaee1e4e43d7bab555cb9187c7",
+    "ed790fadf98051816c7ac91d6e287a199a54c4717ab4f658f012cb4d8e0e53e8",
+    "1a74dda9ae6ed5a5b113d86bc3eee06f8ebc3cf41bd8c0548c86139491eb6a8e",
+    "cdcab14e331bd0a8aaa744b9955705d313d652a35e56a7923e0cf014e88a62ff",
+]
+
+
+def test_sweep_matches_pinned_fingerprints(primes_to_root):
+    # in order on one thread, so the workspace's lists and chunks are reused
+    # by segments of other spans and other depths of sieving primes
+    for (lo, span), expected in zip(SWEEP_SEGMENTS, SWEEP_FINGERPRINTS, strict=True):
+        seg = sigma_segment(lo, lo + 2 * span, primes_to_root)
+        lean = sigma_segment(lo, lo + 2 * span, primes_to_root, values=False)
+        assert lean.members.tolist() == seg.members.tolist(), (lo, span)
+        assert lean.member_sigma.tolist() == seg.values[seg.members].tolist(), (lo, span)
+        digest = hashlib.sha256(seg.values.tobytes() + seg.members.astype(np.int64).tobytes())
+        assert digest.hexdigest() == expected, (lo, span)
+
+
 # run in a fresh interpreter: argv is a segment [lo, span]. After a warm-up
 # that sizes the thread's hits buffer, the process lowers its own address
-# space limit to just above its size, so the buckets of a segment near
-# MAX_LIMIT (~32 MiB) cannot grow; then it restores the limit and sieves
-# the given segment on the same thread
+# space limit to just above its size, so the block lists of a segment near
+# MAX_LIMIT (~7 MB of chunks) cannot grow; then it restores the limit and
+# sieves the given segment on the same thread
 _OUT_OF_MEMORY = """
 import hashlib, json, resource, sys
 from math import isqrt
@@ -621,12 +674,12 @@ from spoofscan.search import MAX_LIMIT
 lo, span = json.loads(sys.argv[1])
 primes = sieve_primes(isqrt(MAX_LIMIT) + 1000)
 big = 1 << 22
-# every prime below sqrt(2^23) is under BLOCK, so no bucket grows here
+# every prime below sqrt(2^23) is under BLOCK, so no list takes a chunk here
 sieve.sigma_segment(1, 1 + 2 * big, primes, values=False)
 with open("/proc/self/status") as fh:
     size = next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (size + (8 << 20), hard))
+resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 20), hard))
 try:
     sieve.sigma_segment(MAX_LIMIT - 2 * big + 1, MAX_LIMIT + 1, primes, values=False)
     failed = None
@@ -645,3 +698,43 @@ def test_kernel_out_of_memory_raises_and_the_thread_recovers():
     failed, *fingerprint = _python(_OUT_OF_MEMORY, json.dumps(HARD_SEGMENTS[4]))
     assert failed is not None and "ran out of memory" in failed
     assert fingerprint == HARD_FINGERPRINTS[4]
+
+
+# run in a fresh interpreter: the VmRSS that one values=False segment of
+# 2^22 slots ending at MAX_LIMIT adds on a fresh thread (its own heap), and
+# the number of sieving primes
+_LIST_MEMORY = """
+import json, threading
+from math import isqrt
+from spoofscan import sieve
+from spoofscan.arith import sieve_primes
+from spoofscan.search import MAX_LIMIT
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
+
+span = 1 << 22
+primes = sieve_primes(isqrt(MAX_LIMIT))
+added = []
+
+def sieve_once():
+    before = rss()
+    sieve.sigma_segment(MAX_LIMIT - 2 * span + 1, MAX_LIMIT + 1, primes, values=False)
+    added.append(rss() - before)
+
+thread = threading.Thread(target=sieve_once)
+thread.start()
+thread.join()
+print(json.dumps([added[0], len(primes)]))
+"""
+
+
+def test_kernel_list_memory_is_bounded_by_the_primes():
+    # a large prime waits in one block list at a time, so the lists hold at
+    # most one 8-byte entry per sieving prime, plus a partial 8 KiB chunk per
+    # block; with the block of cells that bounds the call at any span. An
+    # entry per hit, not per prime, would take ~28 MB here, these ~7 MB
+    added, primes = _python(_LIST_MEMORY)
+    bound = 8 * primes + (1 << 22) // BLOCK * (8 << 10) + 16 * BLOCK
+    assert added < bound, (added, bound)
