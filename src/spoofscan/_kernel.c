@@ -29,21 +29,25 @@
    uint64_t, whose overflow is defined; sieve.py keeps n below 2^51, so
    every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
-   sigma_fill's scratch, the block of cells and the per-block lists, lives
-   in a struct work that the caller owns (work_new, work_free) and passes to
-   every call. The lists are built from chunks of 8 KiB, which go back to a
-   spare list once their block is done, so at any span they hold about 8
-   bytes per prime from BLOCK to sqrt(hi - 1) plus one partial chunk per
-   block. The work keeps its chunks between calls and takes a new one only
-   when its spares run out, so once a caller has sieved its largest segment
-   a call allocates nothing. The kernel keeps no static state: calls on
-   distinct works are reentrant, and ctypes releases the GIL around each
-   call, so threads, each with its own work, run them in parallel.
+   sigma_fill's scratch, the block of cells and the per-block lists, is a
+   struct work per thread, found through one pthread key: a thread's first
+   call makes it, and the key's destructor frees it as the thread exits, so
+   it is never freed under a running call (a thread still running at process
+   exit leaves it to the operating system). The lists are built from chunks
+   of 8 KiB, which go back to a spare list once their block is done, so at
+   any span they hold about 8 bytes per prime from BLOCK to sqrt(hi - 1)
+   plus one partial chunk per block. The work keeps its chunks between calls
+   and takes a new one only when its spares run out, so once a thread has
+   sieved its largest segment a call allocates nothing. The kernel's only
+   static state is the key, and calls on different threads share nothing:
+   ctypes releases the GIL around each call, so threads run them in
+   parallel. The destructor is code of this library, which must therefore
+   never be unloaded while a thread that called it lives.
 
-   The library exports work_new, work_free and sigma_fill, in that order:
-   the order sets where sigma_fill lands in the built library, on which its
-   speed depends (CHANGES.md). */
+   The library exports only sigma_fill; the functions before it set where it
+   lands in the built library, on which its speed depends (CHANGES.md). */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -104,7 +108,7 @@ struct chunk {
     uint64_t entry[CHUNK];
 };
 
-/* a caller's scratch, kept from call to call: a list of chunks per block,
+/* a thread's scratch, kept from call to call: a list of chunks per block,
    the spare chunks, and the cells of one block */
 struct work {
     struct chunk **list;
@@ -185,20 +189,16 @@ static inline int is_member(uint64_t two_n, uint64_t s)
     return (uint64_t)((double)s / (double)d) * d == s;
 }
 
-/* work_new and work_free come first: sigma_fill after them sits at the
-   same offset modulo 64 as in the builds its speed was measured on */
+/* the key to each thread's struct work */
+static pthread_key_t key;
+static pthread_once_t key_once = PTHREAD_ONCE_INIT;
+static int key_failed;
 
-/* a caller's scratch for sigma_fill, empty; NULL when memory runs out */
-struct work *work_new(void)
+/* the key's destructor: frees a thread's work and all it holds, on that
+   thread as it exits */
+static void work_free(void *arg)
 {
-    return calloc(1, sizeof(struct work));
-}
-
-/* frees w and all it holds; w may be NULL */
-void work_free(struct work *w)
-{
-    if (!w)
-        return;
+    struct work *w = arg;
     for (struct chunk *c = w->spare, *next; c; c = next) {
         next = c->next;
         free(c);
@@ -207,19 +207,41 @@ void work_free(struct work *w)
     free(w);
 }
 
+static void make_key(void)
+{
+    key_failed = pthread_key_create(&key, work_free) != 0;
+}
+
+/* this thread's work, made empty on its first call; NULL when it cannot be */
+static struct work *thread_work(void)
+{
+    struct work *w;
+    if (pthread_once(&key_once, make_key) || key_failed)
+        return NULL;
+    if (!(w = pthread_getspecific(key)) && (w = calloc(1, sizeof *w)) &&
+        pthread_setspecific(key, w)) {
+        free(w);
+        return NULL;
+    }
+    return w;
+}
+
 /* Write each member slot i, ascending, to hits as the pair i, sigma(lo + 2i),
-   and, unless sig is NULL, fill sig[0..m) with sigma(lo + 2i); w is the
-   scratch. hits has room for m pairs. primes is ascending and holds every
-   odd prime up to sqrt(hi - 1), hi = lo + 2m; 2 and the primes above
-   sqrt(hi - 1) are skipped. Returns the number of members, or UINT64_MAX
-   when memory runs out; w stays valid either way. */
-uint64_t sigma_fill(struct work *w, uint64_t lo, uint64_t m, const uint64_t *primes,
-                    uint64_t np, uint64_t *sig, uint64_t *hits)
+   and, unless sig is NULL, fill sig[0..m) with sigma(lo + 2i). hits has
+   room for m pairs. primes is ascending and holds every odd prime up to
+   sqrt(hi - 1), hi = lo + 2m; 2 and the primes above sqrt(hi - 1) are
+   skipped. Returns the number of members, or UINT64_MAX when memory runs
+   out; the thread's scratch stays valid either way. */
+uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np,
+                    uint64_t *sig, uint64_t *hits)
 {
     uint64_t top = lo + 2 * m - 1, blocks = (m + BLOCK - 1) / BLOCK;
     uint64_t next[BLOCK_PRIMES];
     uint64_t k = 0, nb = 0, count = 0, i, j;
-    int failed = grow_lists(w, blocks) != 0;
+    struct work *w = thread_work();
+    if (!w || grow_lists(w, blocks))
+        return UINT64_MAX;
+    int failed = 0;
     struct cell *cell = w->cell;
 
     while (k < np && primes[k] < 3)

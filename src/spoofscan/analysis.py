@@ -99,13 +99,7 @@ def residue_histogram(members, modulus: int = 8) -> Histogram:
 
 def ending_digit_histogram(members) -> Histogram:
     """Counts of members by last decimal digit (1, 3, 5, 7, 9)."""
-    labels = [1, 3, 5, 7, 9]
-    counts = [0] * 5
-    for n in members:
-        if n % 2 == 0:
-            raise ValueError(f"even member {n} in an odd-only dataset")
-        counts[labels.index(n % 10)] += 1
-    return Histogram(labels=labels, counts=counts)
+    return residue_histogram(members, 10)
 
 
 def density_series(members, limit: int) -> list[tuple[int, Fraction]]:

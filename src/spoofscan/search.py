@@ -76,7 +76,7 @@ TASK_SLOTS = 1 << 18
 # flight, 8 x workers x 2^20 at the default span. A task sieves without
 # a values array (sigma_segment(..., values=False)): a finished task holds
 # only its members, and a worker's memory is its kernel scratch and hits
-# buffer, reused from task to task
+# buffer, reused from task to task and freed as its thread ends with the search
 WINDOW_PER_WORKER = 8
 
 

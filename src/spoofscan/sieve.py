@@ -22,16 +22,15 @@ of the source and the flags, and deletes the builds of earlier sources
 there; later imports load that library. ctypes releases the GIL for each
 call, so worker threads sieve in parallel.
 
-Each thread keeps its own workspace: the kernel's scratch (a block of
-cells and the per-block lists, whose pooled chunks hold at most one
-entry per sieving prime) and the buffer the kernel writes member pairs
-to, 16 bytes per slot but touched only at members. So after a thread's
-first segment a call without values (the search's) allocates only its
-members, and one with values adds the values array it returns. A
-workspace belongs to the library that made it, and it is freed when its
-thread ends (a search's worker threads end with the search). One still
-held at interpreter exit is left to the operating system: a daemon
-thread may still be inside the kernel with it.
+Each thread keeps the kernel's scratch (a block of cells and the
+per-block lists, whose pooled chunks hold at most one entry per sieving
+prime), which the kernel itself makes on the thread's first call and
+frees when the thread ends (a search's worker threads end with the
+search), and the buffer the kernel writes member pairs to, 16 bytes per
+slot but touched only at members. So after a thread's first segment a
+call without values (the search's) allocates only its members, and one
+with values adds the values array it returns. The scratch of a thread
+still running at interpreter exit is left to the operating system.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import contextlib
 import ctypes
 import os
 import threading
-import weakref
 import zlib
 from math import isqrt
 from pathlib import Path
@@ -51,11 +49,12 @@ from .arith import is_prime
 
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
-# Odd slots per segment. A thread's kernel scratch is 512 KiB of cells plus
-# block lists of at most 8 bytes per sieving prime and a partial 8 KiB chunk
-# per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 at MAX_SPAN),
-# and its hits buffer reserves 16 bytes per slot (16 MiB here) but touches them
-# only at members; values=True adds an 8 MiB int64 array per segment.
+# Odd slots per segment. A thread's kernel scratch, kept from its first call
+# until it ends, is 512 KiB of cells plus block lists of at most 8 bytes per
+# sieving prime and a partial 8 KiB chunk per block (~0.9 MB near 10^12 at
+# this span, ~16 MB near 10^15 at MAX_SPAN), and its hits buffer reserves 16
+# bytes per slot (16 MiB here) but touches them only at members; values=True
+# adds an 8 MiB int64 array per segment.
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
 # Above every search (MAX_LIMIT + 2 < 2^51). Below it sigma(n) < 4n < 2^53,
@@ -63,7 +62,7 @@ MAX_SPAN = 1 << 24
 MAX_HI = 1 << 51
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 _U64 = ctypes.c_uint64
 
 
@@ -86,11 +85,7 @@ def _bind(lib: Path) -> ctypes.CDLL:
     """Load a built kernel library and declare its functions."""
     kernel = ctypes.CDLL(str(lib))
     ptr = ctypes.c_void_p
-    kernel.work_new.argtypes = []
-    kernel.work_new.restype = ptr
-    kernel.work_free.argtypes = [ptr]
-    kernel.work_free.restype = None
-    kernel.sigma_fill.argtypes = [ptr, _U64, _U64, ptr, _U64, ptr, ptr]
+    kernel.sigma_fill.argtypes = [_U64, _U64, ptr, _U64, ptr, ptr]
     kernel.sigma_fill.restype = _U64
     return kernel
 
@@ -120,36 +115,15 @@ def _compile(source: bytes, lib: Path, cflags: tuple[str, ...] = _CFLAGS) -> Non
 
 
 _KERNEL = _load_kernel()
-
-
-class _Workspace:
-    """One thread's kernel scratch, made by `kernel`, and its hits buffer
-    of (slot, sigma) pairs."""
-
-    def __init__(self, kernel: ctypes.CDLL):
-        work = kernel.work_new()
-        if not work:
-            raise MemoryError("sieve kernel could not allocate its workspace")
-        self.kernel = kernel
-        self.work = work
-        self.hits = np.empty((0, 2), dtype=np.int64)
-        # freed when its thread ends, never at interpreter exit, when a daemon
-        # thread may still be inside the kernel with it
-        weakref.finalize(self, kernel.work_free, work).atexit = False
-
-
 _LOCAL = threading.local()
 
 
-def _workspace(kernel: ctypes.CDLL, slots: int) -> _Workspace:
-    """This thread's workspace for `kernel`, with room for `slots` hits."""
-    ws = getattr(_LOCAL, "workspace", None)
-    # a workspace is never passed to a library other than its own
-    if ws is None or ws.kernel is not kernel:
-        ws = _LOCAL.workspace = _Workspace(kernel)
-    if len(ws.hits) < slots:
-        ws.hits = np.empty((slots, 2), dtype=np.int64)
-    return ws
+def _hits(slots: int) -> np.ndarray:
+    """This thread's buffer of (slot, sigma) pairs, with room for `slots`."""
+    hits = getattr(_LOCAL, "hits", None)
+    if hits is None or len(hits) < slots:
+        hits = _LOCAL.hits = np.empty((slots, 2), dtype=np.int64)
+    return hits
 
 
 class SigmaSegment:
@@ -212,9 +186,11 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
     `primes` must be an ascending array containing every odd prime up to
     sqrt(hi - 1); extra primes are ignored. With values=False the kernel
     keeps sigma only at members, and the segment computes its values
-    when they are first read. Raises ValueError when the prime list is
-    insufficient, when (hi - lo) / 2 exceeds MAX_SPAN and when hi
-    exceeds MAX_HI, and MemoryError when the kernel runs out of memory.
+    when they are first read. Raises ValueError when a prime between the
+    list's largest entry and sqrt(hi - 1) is missing, when (hi - lo) / 2
+    exceeds MAX_SPAN and when hi exceeds MAX_HI, and MemoryError when the
+    kernel runs out of memory. A prime missing below the largest entry, or
+    a repeated or unsorted entry, is not detected: the values come out wrong.
     """
     if lo < 1 or lo % 2 == 0:
         raise ValueError(f"lo must be odd and >= 1, got {lo}")
@@ -231,20 +207,19 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
     primes = np.ascontiguousarray(primes, dtype=np.int64)
     _check_prime_cover(primes, hi)
 
-    ws = _workspace(_KERNEL, slots)
+    hits = _hits(slots)
     sig = np.empty(slots, dtype=np.int64) if values else None
-    count = ws.kernel.sigma_fill(
-        ws.work,
+    count = _KERNEL.sigma_fill(
         lo,
         slots,
         primes.ctypes.data,
         len(primes),
         None if sig is None else sig.ctypes.data,
-        ws.hits.ctypes.data,
+        hits.ctypes.data,
     )
     if count > slots:
         raise MemoryError(f"sieve kernel ran out of memory on [{lo}, {hi})")
     # copies: the hits buffer is this thread's, reused by its next call
-    members, member_sigma = ws.hits[:count].T.copy()
+    members, member_sigma = hits[:count].T.copy()
     return SigmaSegment(lo, hi, members, member_sigma, values=sig, primes=primes)
 

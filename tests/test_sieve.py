@@ -1,9 +1,9 @@
-import gc
 import hashlib
 import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -368,26 +368,37 @@ def test_search_segments_allocate_no_values(primes_1e6):
     assert lean < 1 << 20 and eager >= 8 << 20, (lean, eager)
 
 
-def _workspaces():
-    return [obj for obj in gc.get_objects() if isinstance(obj, sieve._Workspace)]
+# run in a fresh interpreter: argv is a directory for the results files.
+# After a warm-up search, the VmRSS that 10 searches to 4 * 10^6 on two
+# workers add; at a span of 2^15 each worker touches its whole 512 KiB block
+# of cells, and the search's worker threads end with it
+_THREAD_SCRATCH = """
+import json, sys
+from pathlib import Path
+from spoofscan.search import SearchConfig, search_range
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
+
+def run(k):
+    out = Path(sys.argv[1]) / f"{k}.txt"
+    search_range(SearchConfig(4 * 10**6, out, segment_span=1 << 15, worker_count=2))
+
+run(0)
+before = rss()
+for k in range(1, 11):
+    run(k)
+print(json.dumps(rss() - before))
+"""
 
 
-def test_worker_workspaces_end_with_the_search(tmp_path):
-    sigma_segment(1, 11, sieve_primes(3))
-    main = sieve._LOCAL.workspace
-    during = []
-
-    def progress(done, total, found):
-        # counted, not kept: a reference would keep a workspace alive
-        if done == total:
-            during.append(len(_workspaces()))
-
-    config = SearchConfig(10**7, tmp_path / "out.txt", segment_span=4096, worker_count=2)
-    search_range(config, progress=progress)
-    # the main thread's and one for each of the two pool threads
-    assert during == [3]
-    # the pool threads have ended and freed theirs
-    assert [ws for ws in _workspaces() if ws is not main] == []
+def test_worker_scratch_is_freed_when_its_thread_ends(tmp_path):
+    # the kernel frees a thread's scratch as the thread exits: ~1 MB is added
+    # here; kept past its thread, each search's scratch would add ~1 MB, and
+    # the 10 searches ~10 MB
+    added = _python(_THREAD_SCRATCH, tmp_path)
+    assert added < 4 << 20, added
 
 
 _EXIT = """
@@ -465,6 +476,20 @@ def test_kernel_build_names_missing_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     with pytest.raises(RuntimeError, match="`cc`"):
         sieve._load_kernel(tmp_path / "cache")
+
+
+def test_kernel_exports_only_sigma_fill():
+    # the kernel keeps each thread's scratch itself: its one entry point
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm")
+    command = [nm, "-D", "--defined-only", sieve._KERNEL._name]
+    done = subprocess.run(command, capture_output=True, text=True, check=True)
+    symbols = [line.split()[1:] for line in done.stdout.splitlines()]
+    # _init and _fini are the linker's own, which some toolchains export
+    linker = ("_init", "_fini")
+    functions = [name for kind, name in symbols if kind in "TWi" and name not in linker]
+    assert functions == ["sigma_fill"], done.stdout
 
 
 # segments a build of the kernel must reproduce: members in several blocks
