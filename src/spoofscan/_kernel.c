@@ -1,21 +1,34 @@
 /* Segment kernel of the sigma sieve and the membership scan (see sieve.py).
 
    Slot i of a segment stands for the odd integer n = lo + 2i. sigma_fill
-   keeps two accumulators per slot, the cofactor (n at first) and the
-   partial sigma (1 at first), side by side in one 16-byte cell, so a hit
-   reads and writes one cache line. It pulls every odd prime
-   p <= sqrt(hi - 1) out of its odd multiples, which lie p slots apart. It
-   works through the segment in blocks of BLOCK cells and finishes each
-   block while it is in cache (the segmented sieve of Oliveira e Silva,
-   Herzog and Pardi, Math. Comp. 83, 2014), in three steps:
+   keeps two accumulators per slot, the cofactor and the partial sigma,
+   side by side in one 16-byte cell, so a hit reads and writes one cache
+   line. It pulls every odd prime p <= sqrt(hi - 1) out of its odd
+   multiples, which lie p slots apart. It works through the segment in
+   blocks of BLOCK cells and finishes each block while it is in cache (the
+   segmented sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83,
+   2014), in five steps:
 
-   1. the odd primes below BLOCK, each carrying its next slot from block
-      to block;
-   2. the larger primes, which hit a block at most once each: each waits
+   1. the cells start from a pattern of period PERIOD = 9 * 25 * 49 that
+      takes 3, 5 and 7 out of every slot up to their squares (pre-sieving,
+      as in Walisch's primesieve): n has the code of its residue
+      j = ((n - 1) / 2) mod PERIOD, 9a + 3b + c, where a, b and c are
+      min(v_p(n), 2) for p = 3, 5 and 7, and the cell starts as
+      n / (3^a 5^b 7^c), a multiplication by its inverse, and
+      sigma(3^a) sigma(5^b) sigma(7^c). A slot step adds 2 to n, so j runs
+      contiguously in slot order and wraps without a modulo; 3, 5 and 7
+      are taken out whatever the prime list holds;
+   2. the cube pass: the odd multiples of 27, 125 and 343, each carrying
+      its next slot from block to block, still hold p; each gets p^2 back,
+      trades sigma(p^2) = 1 + p + p^2 (odd, so an exact multiplication by
+      its inverse) for sigma(p^e), and loses p^e;
+   3. the odd primes from 11 to below BLOCK, each carrying its next slot
+      from block to block;
+   4. the larger primes, which hit a block at most once each: each waits
       in the list of the block of its next hit, and when that block comes
       it takes its hit and moves on to the list of the block after, so a
       list holds at most one entry per prime;
-   3. one pass over the cells: what is left of the cofactor is 1 or one
+   5. one pass over the cells: what is left of the cofactor is 1 or one
       prime q > sqrt(hi - 1), which contributes q + 1, taken without a
       branch; the slot's sigma is tested for membership, and a member's
       slot and sigma go out as a pair. The sigma of every slot is written
@@ -29,20 +42,22 @@
    uint64_t, whose overflow is defined; sieve.py keeps n below 2^51, so
    every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
-   sigma_fill's scratch, the block of cells and the per-block lists, is a
-   struct work per thread, found through one pthread key: a thread's first
-   call makes it, and the key's destructor frees it as the thread exits, so
-   it is never freed under a running call (a thread still running at process
-   exit leaves it to the operating system). The lists are built from chunks
-   of 8 KiB, which go back to a spare list once their block is done, so at
-   any span they hold about 8 bytes per prime from BLOCK to sqrt(hi - 1)
-   plus one partial chunk per block. The work keeps its chunks between calls
-   and takes a new one only when its spares run out, so once a thread has
-   sieved its largest segment a call allocates nothing. The kernel's only
-   static state is the key, and calls on different threads share nothing:
-   ctypes releases the GIL around each call, so threads run them in
-   parallel. The destructor is code of this library, which must therefore
-   never be unloaded while a thread that called it lives.
+   sigma_fill's scratch, the block of cells, the per-block lists and the
+   pattern's two tables (a code byte per residue and the 27 forms, ~11.4
+   KiB), is a struct work per thread, found through one pthread key: a
+   thread's first call makes it and builds the tables, and the key's
+   destructor frees it as the thread exits, so it is never freed under a
+   running call (a thread still running at process exit leaves it to the
+   operating system). The lists are built from chunks of 8 KiB, which go
+   back to a spare list once their block is done, so at any span they hold
+   about 8 bytes per prime from BLOCK to sqrt(hi - 1) plus one partial
+   chunk per block. The work keeps its chunks between calls and takes a
+   new one only when its spares run out, so once a thread has sieved its
+   largest segment a call allocates nothing. The kernel's only static
+   state is the key, and calls on different threads share nothing: ctypes
+   releases the GIL around each call, so threads run them in parallel. The
+   destructor is code of this library, which must therefore never be
+   unloaded while a thread that called it lives.
 
    The library exports only sigma_fill; the functions before it set where it
    lands in the built library, on which its speed depends (CHANGES.md). */
@@ -56,6 +71,8 @@
 /* the odd primes below BLOCK, pi(32768) - 1; bounds next[] for any input,
    since primes past it go to the block lists, which are exact for any p */
 #define BLOCK_PRIMES 3511
+/* the period of the pattern of 3, 5 and 7, in slots: 9 * 25 * 49 */
+#define PERIOD 11025
 
 static uint64_t inverse(uint64_t p)
 {
@@ -108,12 +125,21 @@ struct chunk {
     uint64_t entry[CHUNK];
 };
 
+/* what 3, 5 and 7 contribute to the slots of one code 9a + 3b + c: the
+   inverse of 3^a 5^b 7^c and sigma(3^a) sigma(5^b) sigma(7^c) */
+struct form {
+    uint64_t inv, sig;
+};
+
 /* a thread's scratch, kept from call to call: a list of chunks per block,
-   the spare chunks, and the cells of one block */
+   the spare chunks, the pattern (the code of each residue and the form of
+   each code) and the cells of one block */
 struct work {
     struct chunk **list;
     uint64_t nlist;
     struct chunk *spare;
+    struct form form[27];
+    unsigned char code[PERIOD];
     struct cell cell[BLOCK];
 };
 
@@ -207,6 +233,35 @@ static void work_free(void *arg)
     free(w);
 }
 
+/* fills the pattern: n = 2j + 1 has code[j] = 9a + 3b + c, where a, b and
+   c are min(v_p(n), 2) for p = 3, 5 and 7. gcc inlines it, through
+   thread_work, into sigma_fill: out of line it moved sigma_fill to a
+   slower place (CHANGES.md) */
+static void build_pattern(struct work *w)
+{
+    for (uint64_t code = 0; code < 27; code++) {
+        uint64_t d = 1, s = 1;
+        /* the digits of code, from the lowest, are c, b and a */
+        for (uint64_t p = 7, e = code; p >= 3; p -= 2, e /= 3) {
+            uint64_t pk = 1, sum = 1;
+            for (uint64_t k = 0; k < e % 3; k++) {
+                pk *= p;
+                sum += pk;
+            }
+            d *= pk;
+            s *= sum;
+        }
+        w->form[code].inv = inverse(d);
+        w->form[code].sig = s;
+    }
+    for (uint64_t j = 0; j < PERIOD; j++) {
+        uint64_t n = 2 * j + 1, code = 0;
+        for (uint64_t p = 3; p <= 7; p += 2)
+            code = 3 * code + (n % p == 0) + (n % (p * p) == 0);
+        w->code[j] = code;
+    }
+}
+
 static void make_key(void)
 {
     key_failed = pthread_key_create(&key, work_free) != 0;
@@ -218,33 +273,43 @@ static struct work *thread_work(void)
     struct work *w;
     if (pthread_once(&key_once, make_key) || key_failed)
         return NULL;
-    if (!(w = pthread_getspecific(key)) && (w = calloc(1, sizeof *w)) &&
-        pthread_setspecific(key, w)) {
+    if ((w = pthread_getspecific(key)))
+        return w;
+    if (!(w = calloc(1, sizeof *w)))
+        return NULL;
+    if (pthread_setspecific(key, w)) {
         free(w);
         return NULL;
     }
+    build_pattern(w);
     return w;
 }
 
 /* Write each member slot i, ascending, to hits as the pair i, sigma(lo + 2i),
    and, unless sig is NULL, fill sig[0..m) with sigma(lo + 2i). hits has
    room for m pairs. primes is ascending and holds every odd prime up to
-   sqrt(hi - 1), hi = lo + 2m; 2 and the primes above sqrt(hi - 1) are
-   skipped. Returns the number of members, or UINT64_MAX when memory runs
-   out; the thread's scratch stays valid either way. */
+   sqrt(hi - 1), hi = lo + 2m; 2, the pattern's 3, 5 and 7, and the primes
+   above sqrt(hi - 1) are skipped. Returns the number of members, or
+   UINT64_MAX when memory runs out; the thread's scratch stays valid either
+   way. */
 uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np,
                     uint64_t *sig, uint64_t *hits)
 {
     uint64_t top = lo + 2 * m - 1, blocks = (m + BLOCK - 1) / BLOCK;
-    uint64_t next[BLOCK_PRIMES];
-    uint64_t k = 0, nb = 0, count = 0, i, j;
+    uint64_t next[BLOCK_PRIMES], cube[3];
+    uint64_t k = 0, nb = 0, count = 0, i, j, res = (lo - 1) / 2 % PERIOD;
     struct work *w = thread_work();
     if (!w || grow_lists(w, blocks))
         return UINT64_MAX;
     int failed = 0;
     struct cell *cell = w->cell;
 
-    while (k < np && primes[k] < 3)
+    /* the pattern takes out 3, 5 and 7, the cube pass their higher powers */
+    for (j = 0; j < 3; j++) {
+        uint64_t p = 3 + 2 * j;
+        cube[j] = first_slot(lo, p * p * p);
+    }
+    while (k < np && primes[k] < 11)
         k++;
     const uint64_t *small = primes + k;
     /* a prime below BLOCK may hit a block many times; it carries its next
@@ -258,9 +323,28 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
 
     for (uint64_t b = 0; !failed && b < blocks; b++) {
         uint64_t b0 = b * BLOCK, len = m - b0 < BLOCK ? m - b0 : BLOCK;
-        for (i = 0; i < len; i++) {
-            cell[i].cof = lo + 2 * (b0 + i);
-            cell[i].sig = 1;
+        /* res is the next cell's residue j, walked in runs up to the end
+           of the period */
+        for (i = 0; i < len;) {
+            uint64_t end = len - i < PERIOD - res ? len : i + PERIOD - res;
+            for (; i < end; i++, res++) {
+                const struct form *f = &w->form[w->code[res]];
+                cell[i].cof = (lo + 2 * (b0 + i)) * f->inv;
+                cell[i].sig = f->sig;
+            }
+            if (res == PERIOD)
+                res = 0;
+        }
+        /* the cube pass: p^2 goes back into the cofactor and sigma(p^2) out
+           of the sigma, then hit takes the whole power of p */
+        for (j = 0; j < 3; j++) {
+            uint64_t p = 3 + 2 * j, inv = inverse(p), undo = inverse(1 + p + p * p);
+            for (i = cube[j]; i < len; i += p * p * p) {
+                cell[i].cof *= p * p;
+                cell[i].sig *= undo;
+                hit(&cell[i], p, inv);
+            }
+            cube[j] = i - len;
         }
         for (j = 0; j < nb; j++) {
             uint64_t p = small[j], inv = inverse(p);

@@ -1,20 +1,25 @@
 """Segmented sieve for sigma(n) over odd n in a half-open range.
 
 For each odd n in [lo, hi) the kernel keeps two accumulators in one
-cell: the remaining cofactor (initially n) and the partial sigma product
-(initially 1). For every odd prime p up to sqrt(hi - 1) it visits the
-odd multiples of p, pulls the full power p^e out of the cofactor and
-multiplies the partial sigma by 1 + p + ... + p^e. Whatever cofactor is
-left afterwards is either 1 or a single prime q > sqrt(hi - 1), which
-contributes q + 1. The prime 2 never divides an odd n and is skipped.
+cell: the remaining cofactor and the partial sigma product. They start
+from a pattern of period 9 * 25 * 49 that has taken 3, 5 and 7 out up to
+their squares: n / (3^a 5^b 7^c) and sigma(3^a) sigma(5^b) sigma(7^c),
+where a, b and c are min(v_p(n), 2) for p = 3, 5 and 7; a cube pass
+finishes the odd multiples of 27, 125 and 343. For every odd prime p from
+11 up to sqrt(hi - 1) the kernel visits the odd multiples of p, pulls
+the full power p^e out of the cofactor and multiplies the partial sigma
+by 1 + p + ... + p^e. Whatever cofactor is left afterwards is either 1
+or a single prime q > sqrt(hi - 1), which contributes q + 1. The prime 2
+never divides an odd n and is skipped.
 
 The kernel is one C call per segment (_kernel.c). It finishes the
-segment block by block while each block's cells are in cache: the primes
-below the block size, then the larger primes, each waiting in the list
-of the block of its next hit, then one pass that takes the leftover
-cofactors and runs the membership scan (the kernel's only one), so a
-segment comes back with its member slots, each with its sigma, and,
-unless the caller asks for none, the sigma value of every slot. The
+segment block by block while each block's cells are in cache: the
+pattern and the cube pass, the primes from 11 to below the block size,
+then the larger primes, each waiting in the list of the block of its
+next hit, then one pass that takes the leftover cofactors and runs the
+membership scan (the kernel's only one), so a segment comes back with
+its member slots, each with its sigma, and, unless the caller asks for
+none, the sigma value of every slot. The
 order of the kernel's functions is set for code placement, on which its
 speed depends (see _kernel.c). The first import compiles _kernel.c with
 `cc` into this package's __pycache__, under a name keyed by a checksum
@@ -22,10 +27,10 @@ of the source and the flags, and deletes the builds of earlier sources
 there; later imports load that library. ctypes releases the GIL for each
 call, so worker threads sieve in parallel.
 
-Each thread keeps the kernel's scratch (a block of cells and the
+Each thread keeps the kernel's scratch (a block of cells, the
 per-block lists, whose pooled chunks hold at most one entry per sieving
-prime), which the kernel itself makes on the thread's first call and
-frees when the thread ends (a search's worker threads end with the
+prime, and the pattern's tables), which the kernel itself makes on the
+thread's first call and frees when the thread ends (a search's worker threads end with the
 search), and the buffer the kernel writes member pairs to, 16 bytes per
 slot but touched only at members. So after a thread's first segment a
 call without values (the search's) allocates only its members, and one
@@ -50,11 +55,12 @@ from .arith import is_prime
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
 # Odd slots per segment. A thread's kernel scratch, kept from its first call
-# until it ends, is 512 KiB of cells plus block lists of at most 8 bytes per
-# sieving prime and a partial 8 KiB chunk per block (~0.9 MB near 10^12 at
-# this span, ~16 MB near 10^15 at MAX_SPAN), and its hits buffer reserves 16
-# bytes per slot (16 MiB here) but touches them only at members; values=True
-# adds an 8 MiB int64 array per segment.
+# until it ends, is 512 KiB of cells and ~11.4 KiB of pattern tables plus
+# block lists of at most 8 bytes per sieving prime and a partial 8 KiB chunk
+# per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 at
+# MAX_SPAN), and its hits buffer reserves 16 bytes per slot (16 MiB here)
+# but touches them only at members; values=True adds an 8 MiB int64 array
+# per segment.
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
 # Above every search (MAX_LIMIT + 2 < 2^51). Below it sigma(n) < 4n < 2^53,
@@ -189,8 +195,10 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
     when they are first read. Raises ValueError when a prime between the
     list's largest entry and sqrt(hi - 1) is missing, when (hi - lo) / 2
     exceeds MAX_SPAN and when hi exceeds MAX_HI, and MemoryError when the
-    kernel runs out of memory. A prime missing below the largest entry, or
-    a repeated or unsorted entry, is not detected: the values come out wrong.
+    kernel runs out of memory. The kernel takes out 3, 5 and 7 itself,
+    whatever the list holds. A prime from 11 up missing below the largest
+    entry, or a repeated or unsorted entry from 11 up, is not detected: the
+    values come out wrong.
     """
     if lo < 1 or lo % 2 == 0:
         raise ValueError(f"lo must be odd and >= 1, got {lo}")

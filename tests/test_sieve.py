@@ -31,6 +31,8 @@ def _kernel_define(name):
 # slots per block of the C kernel: primes below it run block by block,
 # larger ones through per-block lists; BLOCK_PRIMES bounds the former
 BLOCK, BLOCK_PRIMES = _kernel_define("BLOCK"), _kernel_define("BLOCK_PRIMES")
+# slots per period of the kernel's pattern of 3, 5 and 7
+PERIOD = _kernel_define("PERIOD")
 _PRIMES = sieve_primes(2 * BLOCK)
 # the last prime below BLOCK, the first two above it, and one far above it
 P0 = int(_PRIMES[_PRIMES < BLOCK][-1])
@@ -174,6 +176,53 @@ def test_block_edges_match_single_block_segments(primes_1e6):
         assert seg.values[i] == sigma_single(lo + 2 * i), i
     for i in (0, BLOCK - 1, BLOCK, 2 * BLOCK, 3 * BLOCK - 1, 3 * BLOCK, span - 1):
         assert seg.values[i] == sigma_single(lo + 2 * i), i
+
+
+def _pattern_multiple(p, e):
+    """p^e * k, with k the least odd number prime to p that puts it above
+    2 * BLOCK, so that it fits at slot BLOCK of a segment; k = 1 from
+    p^e > 2 * BLOCK on"""
+    k = max(1, -(-(2 * BLOCK + 1) // p**e)) | 1
+    while k % p == 0:
+        k += 2
+    return p**e * k
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pattern_primes_every_power_at_pattern_edges(p, primes_to_root):
+    # n = p^e * k with v_p(n) = e, for every e with p^e <= MAX_LIMIT (3^31,
+    # 5^21, 7^17): up to e = 2 the pattern takes p out, from e = 3 on the
+    # cube pass finishes it. n sits at the last slot of a block, at the
+    # first slot of the next (the pattern index and the cube pass carry
+    # over), and in a block whose pattern wraps from PERIOD - 1 to 0 between
+    # its first two slots
+    e = 0
+    while p**e <= MAX_LIMIT:
+        n = _pattern_multiple(p, e)
+        if n <= 10**12:
+            expected = sigma_single(n)
+        else:
+            expected = _sigma_by_trial_division(n, primes_to_root)
+        wrap = (n - 1) // 2 % PERIOD + 1
+        assert (n - 2 * wrap - 1) // 2 % PERIOD == PERIOD - 1
+        for slot, span in ((BLOCK - 1, BLOCK + 1), (BLOCK, BLOCK + 1), (wrap, wrap + 1)):
+            lo = n - 2 * slot
+            seg = sigma_segment(lo, lo + 2 * span, primes_to_root)
+            assert seg.sigma_of(n) == expected, (p, e, slot)
+        e += 1
+
+
+def test_smallest_segments_match_divisor_enumeration(sigma_table_1e6, primes_1e6):
+    # lo = 1 and every odd hi up to 400: 5 and 7 are sieving primes only
+    # from hi = 27 and hi = 51 on, but the pattern takes them out below that
+    # too, and the first hits of 27, 125 and 343 fall here
+    for hi in range(3, 401, 2):
+        seg = sigma_segment(1, hi, primes_1e6)
+        assert np.array_equal(seg.values, sigma_table_1e6[1:hi:2]), hi
+    # the pattern takes out 3, 5 and 7 whatever the prime list holds
+    for primes in ([5], [3, 3, 3, 5], [7]):
+        seg = sigma_segment(1, 31, np.array(primes))
+        assert np.array_equal(seg.values, sigma_table_1e6[1:31:2]), primes
 
 
 @pytest.mark.parametrize(
@@ -558,9 +607,22 @@ print(json.dumps(runs))
 """
 _RUNS = ("forward", "reversed", "thread forward", "thread reversed")
 
-# the test builds append this wrapper, so that the kernel's membership
-# predicate can be probed on fake values: (2n, sigma, member)
-PROBE = b"\nuint64_t probe_is_member(uint64_t two_n, uint64_t s) { return is_member(two_n, s); }\n"
+# the test builds append these wrappers: the kernel's membership predicate,
+# probed on fake values (2n, sigma, member), and the calling thread's
+# pattern at residue j, its code and the form of that code
+PROBE = b"""
+uint64_t probe_is_member(uint64_t two_n, uint64_t s) { return is_member(two_n, s); }
+
+uint64_t probe_pattern(uint64_t j, uint64_t *inv, uint64_t *sig)
+{
+    struct work *w = thread_work();
+    if (!w)
+        return UINT64_MAX;
+    *inv = w->form[w->code[j]].inv;
+    *sig = w->form[w->code[j]].sig;
+    return w->code[j];
+}
+"""
 _TWO_N = 2 * (MAX_HI - 3)
 PROBE_CASES = [
     (2, 2, 0),  # n = 1, sigma = 2n: d = 0
@@ -569,13 +631,37 @@ PROBE_CASES = [
     (_TWO_N, _TWO_N - 1, 1),  # d = 1 near MAX_HI: the float quotient ~2^52 must be exact
     (_TWO_N, _TWO_N - 7, 0),  # d = 7 does not divide sigma there
 ]
-# run in a fresh interpreter: argv is a test build, then the cases
+# run in a fresh interpreter: argv is a test build, the cases and PERIOD;
+# prints the cases' member flags and [code, inv, sig] at each residue
 _PROBE = """
 import ctypes, json, sys
-probe = ctypes.CDLL(sys.argv[1]).probe_is_member
-probe.argtypes, probe.restype = [ctypes.c_uint64] * 2, ctypes.c_uint64
-print(json.dumps([probe(two_n, s) for two_n, s, _ in json.loads(sys.argv[2])]))
+lib = ctypes.CDLL(sys.argv[1])
+u64 = ctypes.c_uint64
+lib.probe_is_member.argtypes, lib.probe_is_member.restype = [u64, u64], u64
+members = [lib.probe_is_member(two_n, s) for two_n, s, _ in json.loads(sys.argv[2])]
+lib.probe_pattern.argtypes = [u64, ctypes.POINTER(u64), ctypes.POINTER(u64)]
+lib.probe_pattern.restype = u64
+inv, sig = u64(), u64()
+pattern = [[lib.probe_pattern(j, inv, sig), inv.value, sig.value] for j in range(int(sys.argv[3]))]
+print(json.dumps([members, pattern]))
 """
+
+
+def _pattern():
+    """[code, inv, sig] at each residue j < PERIOD, by trial division of
+    n = 2j + 1: code = 9a + 3b + c with a, b and c = min(v_p(n), 2) for
+    p = 3, 5 and 7, inv the inverse of 3^a 5^b 7^c mod 2^64 and sig the
+    product of the sigma of those powers"""
+    pattern = []
+    for j in range(PERIOD):
+        n, code, d, sig = 2 * j + 1, 0, 1, 1
+        for p in (3, 5, 7):
+            e = (n % p == 0) + (n % (p * p) == 0)
+            code, d, sig = 3 * code + e, d * p**e, sig * ((p ** (e + 1) - 1) // (p - 1))
+        pattern.append([code, pow(d, -1, 1 << 64), sig])
+    # every one of the 27 forms occurs
+    assert {code for code, *_ in pattern} == set(range(27))
+    return pattern
 
 
 def _python(script, *args, env=None):
@@ -601,7 +687,8 @@ def test_kernel_builds_clean_and_sanitized(tmp_path):
     strict = tmp_path / "strict.so"
     sieve._compile(source, strict, (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
     cases, members = json.dumps(PROBE_CASES), [member for *_, member in PROBE_CASES]
-    assert _python(_PROBE, strict, cases) == members
+    probed = [members, _pattern()]
+    assert _python(_PROBE, strict, cases, PERIOD) == probed
     libasan, libubsan = (
         subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True)
         .stdout.strip()
@@ -615,7 +702,7 @@ def test_kernel_builds_clean_and_sanitized(tmp_path):
     sieve._compile(source, sanitized, flags)
     env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
     assert _python(_FINGERPRINTS, sanitized, segments, env=env) == fingerprints
-    assert _python(_PROBE, sanitized, cases, env=env) == members
+    assert _python(_PROBE, sanitized, cases, PERIOD, env=env) == probed
 
 
 # segments whose members and block edges meet: members in three blocks and
