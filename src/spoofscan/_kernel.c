@@ -26,8 +26,9 @@
       from block to block;
    4. the larger primes, which hit a block at most once each: each waits
       in the list of the block of its next hit, and when that block comes
-      it takes its hit and moves on to the list of the block after, so a
-      list holds at most one entry per prime;
+      it takes its hit and moves on to the list of the block after, or,
+      when its next hit lies past the segment, to the pending list, so
+      each prime has one entry in one list;
    5. one pass over the cells: what is left of the cofactor is 1 or one
       prime q > sqrt(hi - 1), which contributes q + 1, taken without a
       branch; the slot's sigma is tested for membership, and a member's
@@ -36,6 +37,17 @@
       sigma only at members). This pass is the kernel's only membership
       scan.
 
+   A call continues the sieve of the same thread's last call when it
+   starts where that call ended, lo == at: the slots of steps 2 and 3 and
+   the pending list carry over, as the slots carry from block to block
+   within a call (the bucket sieve of the paper above, and primesieve's).
+   Such a call hands each pending prime to the list of the block of its
+   next hit, or leaves it pending with its offset moved on by the call's
+   length. Every call then takes the primes of the input above the largest
+   one it holds, up to sqrt(hi - 1), and finds them by value, so any table
+   that holds them serves. A call at any other lo, or a call that fails,
+   resets the position: the next call starts from nothing.
+
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
    and Montgomery, PLDI 1994): c * inv is c / p exactly when p divides c,
    and c * inv * p overflows otherwise. All value arithmetic is in
@@ -43,18 +55,21 @@
    every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
    sigma_fill's scratch, the block of cells, the per-block lists and the
+   pending list, the sieve's position (the table of the primes from 11 to
+   below BLOCK with their inverses and next slots, ~84 KiB) and the
    pattern's two tables (a code byte per residue and the 27 forms, ~11.4
    KiB), is a struct work per thread, found through one pthread key: a
    thread's first call makes it and builds the tables, and the key's
    destructor frees it as the thread exits, so it is never freed under a
    running call (a thread still running at process exit leaves it to the
-   operating system). The lists are built from chunks of 8 KiB, which go
-   back to a spare list once their block is done, so at any span they hold
-   about 8 bytes per prime from BLOCK to sqrt(hi - 1) plus one partial
-   chunk per block. The work keeps its chunks between calls and takes a
+   operating system). The lists are built from chunks of 8 KiB, each of
+   which goes back to a spare list as soon as its entries have moved on, so
+   at any span they hold about 8 bytes per prime from BLOCK to sqrt(hi - 1)
+   plus one partial chunk per block; between calls all those entries wait
+   in the pending list. The work keeps its chunks between calls and takes a
    new one only when its spares run out, so once a thread has sieved its
-   largest segment a call allocates nothing. The kernel's only static
-   state is the key, and calls on different threads share nothing: ctypes
+   largest segment a call allocates nothing. The kernel's only static state
+   is the key, and calls on different threads share nothing: ctypes
    releases the GIL around each call, so threads run them in parallel. The
    destructor is code of this library, which must therefore never be
    unloaded while a thread that called it lives.
@@ -68,8 +83,9 @@
 
 /* slots per block: a block of cells fills 512 KiB */
 #define BLOCK 32768
-/* the odd primes below BLOCK, pi(32768) - 1; bounds next[] for any input,
-   since primes past it go to the block lists, which are exact for any p */
+/* the odd primes below BLOCK, pi(32768) - 1; bounds the small-prime table
+   for any input, since primes past it go to the block lists, which are
+   exact for any p */
 #define BLOCK_PRIMES 3511
 /* the period of the pattern of 3, 5 and 7, in slots: 9 * 25 * 49 */
 #define PERIOD 11025
@@ -118,7 +134,8 @@ static inline void hit(struct cell *cell, uint64_t p, uint64_t inv)
 #define CHUNK 1022
 
 /* a piece of one block's list of large primes, each entry p << 32 | the
-   slot in that block of p's next hit */
+   slot in that block of p's next hit; in the pending list, p << 32 | the
+   offset of p's next hit from the next call's lo, which is below p */
 struct chunk {
     struct chunk *next;
     uint64_t n;
@@ -132,25 +149,38 @@ struct form {
 };
 
 /* a thread's scratch, kept from call to call: a list of chunks per block,
-   the spare chunks, the pattern (the code of each residue and the form of
-   each code) and the cells of one block */
+   the spare chunks, the sieve's position, the pattern (the code of each
+   residue and the form of each code) and the cells of one block. The
+   position is what a call starting at lo == at continues: each small
+   prime (from 11 to below BLOCK) with its inverse and next slot, the next
+   slots of 27, 125 and 343, and the pending list of the large primes; all
+   slots count from at, and last is the largest prime held */
 struct work {
     struct chunk **list;
     uint64_t nlist;
     struct chunk *spare;
+    struct chunk *pending;
+    uint64_t at, last, nsmall, cube[3];
+    uint64_t small[BLOCK_PRIMES], inv[BLOCK_PRIMES], next[BLOCK_PRIMES];
     struct form form[27];
     unsigned char code[PERIOD];
     struct cell cell[BLOCK];
 };
 
+/* hands chunk c back to the spares; returns the chunk after it */
+static inline struct chunk *give_back(struct work *w, struct chunk *c)
+{
+    struct chunk *next = c->next;
+    c->next = w->spare;
+    w->spare = c;
+    return next;
+}
+
 /* empties a list, handing its chunks back to the spares */
 static void to_spares(struct work *w, struct chunk **list)
 {
-    for (struct chunk *c = *list, *next; c; c = next) {
-        next = c->next;
-        c->next = w->spare;
-        w->spare = c;
-    }
+    for (struct chunk *c = *list; c;)
+        c = give_back(w, c);
     *list = NULL;
 }
 
@@ -170,33 +200,53 @@ static int grow_lists(struct work *w, uint64_t blocks)
     return 0;
 }
 
-/* a new first chunk for the list of block b, a spare one if there is one;
-   -1 when memory runs out. Out of line: inlined into both pushes in
-   sigma_fill, it slowed the small-prime loop there by ~5% near 10^8 */
-static __attribute__((noinline)) int new_chunk(struct work *w, uint64_t b)
+/* a new first chunk for list, a spare one if there is one; -1 when memory
+   runs out. Out of line: inlined into the pushes in sigma_fill, it slowed
+   the small-prime loop there by ~5% near 10^8 */
+static __attribute__((noinline)) int new_chunk(struct work *w, struct chunk **list)
 {
     struct chunk *fresh = w->spare;
     if (fresh)
         w->spare = fresh->next;
     else if (!(fresh = malloc(sizeof *fresh)))
         return -1;
-    fresh->next = w->list[b];
+    fresh->next = *list;
     fresh->n = 0;
-    w->list[b] = fresh;
+    *list = fresh;
     return 0;
 }
 
-/* appends entry to the list of block b; -1 when memory runs out */
-static inline int push(struct work *w, uint64_t b, uint64_t entry)
+/* appends entry to list; -1 when memory runs out */
+static inline int push(struct work *w, struct chunk **list, uint64_t entry)
 {
-    struct chunk *c = w->list[b];
+    struct chunk *c = *list;
     if (!c || c->n == CHUNK) {
-        if (new_chunk(w, b))
+        if (new_chunk(w, list))
             return -1;
-        c = w->list[b];
+        c = *list;
     }
     c->entry[c->n++] = entry;
     return 0;
+}
+
+/* the large prime p hits slot i of a call of m slots next: it waits in the
+   list of that slot's block or, past the call's end, in the pending list;
+   -1 when memory runs out */
+static inline int wait_at(struct work *w, uint64_t p, uint64_t i, uint64_t m)
+{
+    if (i < m)
+        return push(w, &w->list[i / BLOCK], p << 32 | i % BLOCK);
+    return push(w, &w->pending, p << 32 | (i - m));
+}
+
+/* forgets the sieve's position, so that no call continues it; the primes
+   up to 7 count as held, since the pattern takes them out */
+static void reset(struct work *w)
+{
+    to_spares(w, &w->pending);
+    w->at = 0;
+    w->last = 7;
+    w->nsmall = 0;
 }
 
 /* 1 when n is a member: d = 2n - s is positive and divides s = sigma(n) */
@@ -225,6 +275,7 @@ static int key_failed;
 static void work_free(void *arg)
 {
     struct work *w = arg;
+    to_spares(w, &w->pending);
     for (struct chunk *c = w->spare, *next; c; c = next) {
         next = c->next;
         free(c);
@@ -285,42 +336,83 @@ static struct work *thread_work(void)
     return w;
 }
 
+/* moves the sieve on to a call of m slots that continues it: each pending
+   prime waits for its block of the call, or on past its end. A drained
+   chunk goes back to the spares at once, so that no entry is held twice.
+   -1 when memory runs out. Out of line, as is take_primes: each runs once
+   per call, and inlined into sigma_fill they made its calls 4-7% slower
+   (CHANGES.md) */
+static __attribute__((noinline)) int resume(struct work *w, uint64_t m)
+{
+    int failed = 0;
+    struct chunk *c = w->pending;
+    for (w->pending = NULL; !failed && c; c = give_back(w, c))
+        for (uint64_t j = 0; !failed && j < c->n; j++)
+            failed = wait_at(w, c->entry[j] >> 32, c->entry[j] & 0xffffffff, m);
+    to_spares(w, &c);
+    return failed;
+}
+
+/* takes the sieving primes of a call of m slots from lo above the last one
+   held, found by value, so that any table that holds them serves. A prime
+   below BLOCK carries its next slot; a larger one waits for the block of
+   its next hit. -1 when memory runs out */
+static __attribute__((noinline)) int take_primes(struct work *w, uint64_t lo, uint64_t m,
+                                                 const uint64_t *primes, uint64_t np)
+{
+    uint64_t k = 0, top = lo + 2 * m - 1;
+    for (uint64_t end = np; k < end;) {
+        uint64_t mid = k + (end - k) / 2;
+        if (primes[mid] <= w->last)
+            k = mid + 1;
+        else
+            end = mid;
+    }
+    for (; k < np && primes[k] <= top / primes[k]; k++) {
+        uint64_t p = w->last = primes[k], i = first_slot(lo, p);
+        if (p < BLOCK && w->nsmall < BLOCK_PRIMES) {
+            w->small[w->nsmall] = p;
+            w->inv[w->nsmall] = inverse(p);
+            w->next[w->nsmall++] = i;
+        } else if (wait_at(w, p, i, m))
+            return -1;
+    }
+    return 0;
+}
+
 /* Write each member slot i, ascending, to hits as the pair i, sigma(lo + 2i),
    and, unless sig is NULL, fill sig[0..m) with sigma(lo + 2i). hits has
    room for m pairs. primes is ascending and holds every odd prime up to
    sqrt(hi - 1), hi = lo + 2m; 2, the pattern's 3, 5 and 7, and the primes
-   above sqrt(hi - 1) are skipped. Returns the number of members, or
-   UINT64_MAX when memory runs out; the thread's scratch stays valid either
-   way. */
+   above sqrt(hi - 1) are skipped. A call whose lo is the hi of this
+   thread's last successful call continues its sieve and takes from primes
+   only those above the ones it holds. Returns the number of members, or
+   UINT64_MAX when memory runs out, which resets the thread's position; the
+   thread's scratch stays valid either way. */
 uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np,
                     uint64_t *sig, uint64_t *hits)
 {
-    uint64_t top = lo + 2 * m - 1, blocks = (m + BLOCK - 1) / BLOCK;
-    uint64_t next[BLOCK_PRIMES], cube[3];
-    uint64_t k = 0, nb = 0, count = 0, i, j, res = (lo - 1) / 2 % PERIOD;
+    uint64_t blocks = (m + BLOCK - 1) / BLOCK;
+    uint64_t count = 0, i, j, res = (lo - 1) / 2 % PERIOD;
     struct work *w = thread_work();
-    if (!w || grow_lists(w, blocks))
+    if (!w)
         return UINT64_MAX;
-    int failed = 0;
+    int failed = grow_lists(w, blocks);
     struct cell *cell = w->cell;
 
-    /* the pattern takes out 3, 5 and 7, the cube pass their higher powers */
-    for (j = 0; j < 3; j++) {
-        uint64_t p = 3 + 2 * j;
-        cube[j] = first_slot(lo, p * p * p);
-    }
-    while (k < np && primes[k] < 11)
-        k++;
-    const uint64_t *small = primes + k;
-    /* a prime below BLOCK may hit a block many times; it carries its next
-       slot, counted from the start of the current block */
-    for (; k < np && primes[k] < BLOCK && primes[k] <= top / primes[k] && nb < BLOCK_PRIMES; k++)
-        next[nb++] = first_slot(lo, primes[k]);
-    /* a larger prime waits in the list of the block of its first hit */
-    for (; !failed && k < np && primes[k] <= top / primes[k]; k++)
-        if ((i = first_slot(lo, primes[k])) < m)
-            failed = push(w, i / BLOCK, primes[k] << 32 | i % BLOCK) != 0;
+    if (failed || lo != w->at) {
+        /* a fresh start, holding no prime: the pattern takes out 3, 5 and 7,
+           the cube pass their higher powers */
+        reset(w);
+        for (j = 0; j < 3; j++) {
+            uint64_t p = 3 + 2 * j;
+            w->cube[j] = first_slot(lo, p * p * p);
+        }
+    } else
+        failed = resume(w, m);
+    failed = failed || take_primes(w, lo, m, primes, np);
 
+    uint64_t nsmall = w->nsmall;
     for (uint64_t b = 0; !failed && b < blocks; b++) {
         uint64_t b0 = b * BLOCK, len = m - b0 < BLOCK ? m - b0 : BLOCK;
         /* res is the next cell's residue j, walked in runs up to the end
@@ -339,34 +431,35 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
            of the sigma, then hit takes the whole power of p */
         for (j = 0; j < 3; j++) {
             uint64_t p = 3 + 2 * j, inv = inverse(p), undo = inverse(1 + p + p * p);
-            for (i = cube[j]; i < len; i += p * p * p) {
+            for (i = w->cube[j]; i < len; i += p * p * p) {
                 cell[i].cof *= p * p;
                 cell[i].sig *= undo;
                 hit(&cell[i], p, inv);
             }
-            cube[j] = i - len;
+            w->cube[j] = i - len;
         }
-        for (j = 0; j < nb; j++) {
-            uint64_t p = small[j], inv = inverse(p);
-            for (i = next[j]; i < len; i += p)
+        for (j = 0; j < nsmall; j++) {
+            uint64_t p = w->small[j], inv = w->inv[j];
+            for (i = w->next[j]; i < len; i += p)
                 hit(&cell[i], p, inv);
-            next[j] = i - len;
+            w->next[j] = i - len;
         }
-        /* each listed prime hits its cell, then waits in the list of the
-           block of its next hit, a later one: p >= len unless the input
-           holds more than BLOCK_PRIMES primes below BLOCK, and then p takes
-           all its hits in this block first */
-        for (struct chunk *at = w->list[b]; !failed && at; at = at->next)
-            for (j = 0; !failed && j < at->n; j++) {
-                uint64_t p = at->entry[j] >> 32, inv = inverse(p);
-                i = at->entry[j] & 0xffffffff;
+        /* each listed prime hits its cell, then waits for the block of its
+           next hit, a later one or one past the call: p >= len unless the
+           input holds more than BLOCK_PRIMES primes below BLOCK, and then p
+           takes all its hits in this block first. Each chunk goes back to
+           the spares once it is done */
+        struct chunk *listed = w->list[b];
+        for (w->list[b] = NULL; !failed && listed; listed = give_back(w, listed))
+            for (j = 0; !failed && j < listed->n; j++) {
+                uint64_t p = listed->entry[j] >> 32, inv = inverse(p);
+                i = listed->entry[j] & 0xffffffff;
                 do
                     hit(&cell[i], p, inv);
                 while ((i += p) < len);
-                if (b0 + i < m)
-                    failed = push(w, (b0 + i) / BLOCK, p << 32 | (b0 + i) % BLOCK) != 0;
+                failed = wait_at(w, p, b0 + i, m);
             }
-        to_spares(w, &w->list[b]);
+        to_spares(w, &listed);
         /* c + (c != 1) is 1 for c = 1 and c + 1 for a prime c; a branch on
            c > 1 would be a near coin flip */
         for (i = 0; i < len; i++) {
@@ -381,10 +474,12 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
         }
     }
     if (failed) {
-        /* the lists are empty between calls */
+        /* the block lists are empty between calls */
         for (uint64_t b = 0; b < w->nlist; b++)
             to_spares(w, &w->list[b]);
+        reset(w);
         return UINT64_MAX;
     }
+    w->at = lo + 2 * m;
     return count;
 }

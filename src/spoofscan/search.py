@@ -5,8 +5,9 @@ sigma for a segment (sieve kernel) and scan it for members; a single
 in-order writer appends member lines to the results file, so the output
 bytes are identical for any worker count or segment span. Segments go to
 the workers in tasks of k = max(1, TASK_SLOTS // segment_span)
-consecutive segments, so small segments cost one submit per batch; at
-the default span k = 1. Tasks are submitted lazily, at most
+consecutive segments, so small segments cost one submit per batch, and
+the sieve kernel continues each segment of a task from where the one
+before it ended, on the same thread; at the default span k = 1. Tasks are submitted lazily, at most
 WINDOW_PER_WORKER x worker_count in flight, the one the writer is on
 included, so memory stays bounded at any limit. The writer still takes
 each segment on its own: every CHECKPOINT_EVERY segments, also in the

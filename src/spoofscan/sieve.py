@@ -28,14 +28,27 @@ there; later imports load that library. ctypes releases the GIL for each
 call, so worker threads sieve in parallel.
 
 Each thread keeps the kernel's scratch (a block of cells, the
-per-block lists, whose pooled chunks hold at most one entry per sieving
-prime, and the pattern's tables), which the kernel itself makes on the
-thread's first call and frees when the thread ends (a search's worker threads end with the
-search), and the buffer the kernel writes member pairs to, 16 bytes per
-slot but touched only at members. So after a thread's first segment a
-call without values (the search's) allocates only its members, and one
-with values adds the values array it returns. The scratch of a thread
-still running at interpreter exit is left to the operating system.
+per-block lists and the pending list, whose pooled chunks hold one entry
+per sieving prime from the block size up, the table of the smaller
+sieving primes and the pattern's tables), which the kernel itself makes
+on the thread's first call and frees when the thread ends (a search's
+worker threads end with the search), and the buffer the kernel writes
+member pairs to, 16 bytes per slot but touched only at members. So after
+a thread's first segment a call without values (the search's) allocates
+only its members, and one with values adds the values array it returns.
+The scratch of a thread still running at interpreter exit is left to the
+operating system.
+
+The scratch also holds the sieve's position, so a call that starts where
+the same thread's last call ended continues that sieve: it finds no
+prime's first multiple again, takes from the prime list only the primes
+above those it already holds, and each large prime waiting past the last
+call's end moves on. Any other start, or a call that fails, resets the
+position. A search's task of contiguous segments runs on one thread, so
+every segment of a task after its first continues. The thread also keeps
+the addresses of its hits buffer and of the last prime table it was
+given (with a reference to that table), so a call builds no ctypes
+objects for them.
 """
 
 from __future__ import annotations
@@ -55,12 +68,13 @@ from .arith import is_prime
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
 # Odd slots per segment. A thread's kernel scratch, kept from its first call
-# until it ends, is 512 KiB of cells and ~11.4 KiB of pattern tables plus
-# block lists of at most 8 bytes per sieving prime and a partial 8 KiB chunk
-# per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 at
-# MAX_SPAN), and its hits buffer reserves 16 bytes per slot (16 MiB here)
-# but touches them only at members; values=True adds an 8 MiB int64 array
-# per segment.
+# until it ends, is 512 KiB of cells, ~84 KiB of small-prime table and
+# ~11.4 KiB of pattern tables plus lists of 8 bytes per sieving prime from
+# 32768 up, which the pending list keeps between calls, and a partial 8 KiB
+# chunk per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 and
+# ~18 MB there at MAX_SPAN), and its hits buffer reserves 16 bytes per slot
+# (16 MiB here) but touches them only at members; values=True adds an 8 MiB
+# int64 array per segment.
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
 # Above every search (MAX_LIMIT + 2 < 2^51). Below it sigma(n) < 4n < 2^53,
@@ -124,12 +138,24 @@ _KERNEL = _load_kernel()
 _LOCAL = threading.local()
 
 
-def _hits(slots: int) -> np.ndarray:
-    """This thread's buffer of (slot, sigma) pairs, with room for `slots`."""
+def _hits(slots: int) -> tuple[np.ndarray, int]:
+    """This thread's buffer of (slot, sigma) pairs, with room for `slots`,
+    and its address."""
     hits = getattr(_LOCAL, "hits", None)
-    if hits is None or len(hits) < slots:
-        hits = _LOCAL.hits = np.empty((slots, 2), dtype=np.int64)
+    if hits is None or len(hits[0]) < slots:
+        buffer = np.empty((slots, 2), dtype=np.int64)
+        hits = _LOCAL.hits = buffer, buffer.ctypes.data
     return hits
+
+
+def _address(primes: np.ndarray) -> int:
+    """The address of a prime table, kept with a reference to the table
+    this thread used last, so that a search's calls do not build ctypes
+    objects for it."""
+    table = getattr(_LOCAL, "primes", None)
+    if table is None or table[0] is not primes:
+        table = _LOCAL.primes = primes, primes.ctypes.data
+    return table[1]
 
 
 class SigmaSegment:
@@ -198,7 +224,10 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
     kernel runs out of memory. The kernel takes out 3, 5 and 7 itself,
     whatever the list holds. A prime from 11 up missing below the largest
     entry, or a repeated or unsorted entry from 11 up, is not detected: the
-    values come out wrong.
+    values come out wrong. A call whose lo is the hi of this thread's last
+    successful call continues that call's sieve and uses the primes it
+    already holds, taking from `primes` only those above them; the check
+    above still covers the gap above the list's largest entry.
     """
     if lo < 1 or lo % 2 == 0:
         raise ValueError(f"lo must be odd and >= 1, got {lo}")
@@ -215,19 +244,20 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
     primes = np.ascontiguousarray(primes, dtype=np.int64)
     _check_prime_cover(primes, hi)
 
-    hits = _hits(slots)
+    hits, hits_at = _hits(slots)
     sig = np.empty(slots, dtype=np.int64) if values else None
     count = _KERNEL.sigma_fill(
         lo,
         slots,
-        primes.ctypes.data,
+        _address(primes),
         len(primes),
         None if sig is None else sig.ctypes.data,
-        hits.ctypes.data,
+        hits_at,
     )
     if count > slots:
         raise MemoryError(f"sieve kernel ran out of memory on [{lo}, {hi})")
-    # copies: the hits buffer is this thread's, reused by its next call
-    members, member_sigma = hits[:count].T.copy()
-    return SigmaSegment(lo, hi, members, member_sigma, values=sig, primes=primes)
+    # a copy: the hits buffer is this thread's, reused by its next call;
+    # its rows are taken by index, cheaper than unpacking the array
+    pairs = hits[:count].T.copy()
+    return SigmaSegment(lo, hi, pairs[0], pairs[1], values=sig, primes=primes)
 

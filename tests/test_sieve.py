@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
@@ -607,9 +608,45 @@ print(json.dumps(runs))
 """
 _RUNS = ("forward", "reversed", "thread forward", "thread reversed")
 
+# sizes, in slots, of the pieces of a run of contiguous calls: pieces that
+# end inside a block, one slot short of a block edge and just past one, and
+# one of two whole blocks
+PIECES = (1024, 4095, 32767, 32769, 65536)
+
+
+def _pieces(lo, span):
+    """[lo, hi) of each contiguous piece of the span slots from lo, cycling
+    through PIECES; the last piece is the rest"""
+    bounds, k = [], 0
+    while span:
+        size = min(PIECES[k % len(PIECES)], span)
+        bounds.append((lo, lo + 2 * size))
+        lo, span, k = lo + 2 * size, span - size, k + 1
+    return bounds
+
+
+def _run(bounds, primes):
+    """The values and the member slots of a run of calls over bounds on
+    this thread, each continuing the last"""
+    start, values, members = bounds[0][0], [], []
+    for lo, hi in bounds:
+        seg = sigma_segment(lo, hi, primes)
+        values.append(seg.values)
+        members.append(seg.members + (lo - start) // 2)
+    return np.concatenate(values), np.concatenate(members)
+
+
+def _fresh(lo, hi, primes):
+    """sigma over [lo, hi) from one call on a new thread, whose kernel
+    state starts empty"""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(sigma_segment, lo, hi, primes).result(timeout=60)
+
+
 # the test builds append these wrappers: the kernel's membership predicate,
-# probed on fake values (2n, sigma, member), and the calling thread's
-# pattern at residue j, its code and the form of that code
+# probed on fake values (2n, sigma, member), the calling thread's pattern at
+# residue j, its code and the form of that code, and the calling thread's
+# sieve position, at and the number of primes it holds
 PROBE = b"""
 uint64_t probe_is_member(uint64_t two_n, uint64_t s) { return is_member(two_n, s); }
 
@@ -622,6 +659,17 @@ uint64_t probe_pattern(uint64_t j, uint64_t *inv, uint64_t *sig)
     *sig = w->form[w->code[j]].sig;
     return w->code[j];
 }
+
+uint64_t probe_state(uint64_t *held)
+{
+    struct work *w = thread_work();
+    if (!w)
+        return UINT64_MAX;
+    *held = w->nsmall;
+    for (struct chunk *c = w->pending; c; c = c->next)
+        *held += c->n;
+    return w->at;
+}
 """
 _TWO_N = 2 * (MAX_HI - 3)
 PROBE_CASES = [
@@ -631,10 +679,19 @@ PROBE_CASES = [
     (_TWO_N, _TWO_N - 1, 1),  # d = 1 near MAX_HI: the float quotient ~2^52 must be exact
     (_TWO_N, _TWO_N - 7, 0),  # d = 7 does not divide sigma there
 ]
-# run in a fresh interpreter: argv is a test build, the cases and PERIOD;
-# prints the cases' member flags and [code, inv, sig] at each residue
+# run in a fresh interpreter: argv is a test build, the cases, PERIOD and
+# the bounds of contiguous pieces near 10^12; prints the cases' member
+# flags, [code, inv, sig] at each residue, and the sieve's states. The run
+# of pieces gives each call after the first only the primes above sqrt(lo - 1):
+# a call that reset would hold none of the rest, and sieve wrong values. A
+# call far below follows, then one that would continue it but cannot get
+# its block lists, then one where that call would have continued
 _PROBE = """
-import ctypes, json, sys
+import ctypes, hashlib, json, sys
+from math import isqrt
+import numpy as np
+from spoofscan import sieve
+from spoofscan.arith import sieve_primes
 lib = ctypes.CDLL(sys.argv[1])
 u64 = ctypes.c_uint64
 lib.probe_is_member.argtypes, lib.probe_is_member.restype = [u64, u64], u64
@@ -643,7 +700,28 @@ lib.probe_pattern.argtypes = [u64, ctypes.POINTER(u64), ctypes.POINTER(u64)]
 lib.probe_pattern.restype = u64
 inv, sig = u64(), u64()
 pattern = [[lib.probe_pattern(j, inv, sig), inv.value, sig.value] for j in range(int(sys.argv[3]))]
-print(json.dumps([members, pattern]))
+lib.probe_state.argtypes, lib.probe_state.restype = [ctypes.POINTER(u64)], u64
+held = u64()
+
+def state():
+    return [lib.probe_state(held), held.value]
+
+sieve._KERNEL = sieve._bind(sys.argv[1])
+primes = sieve_primes(10**6 + 1000)
+states, values = [], []
+for k, (lo, hi) in enumerate(json.loads(sys.argv[4])):
+    table = primes if k == 0 else primes[primes > isqrt(lo - 1)]
+    values.append(sieve.sigma_segment(lo, hi, table).values)
+    states.append(state())
+run = hashlib.sha256(np.concatenate(values).tobytes()).hexdigest()
+sieve.sigma_segment(1, 2049, primes)
+states.append(state())
+hits, hits_at = sieve._hits(1)
+failed = sieve._KERNEL.sigma_fill(2049, 1 << 60, primes.ctypes.data, len(primes), None, hits_at)
+states.append(state())
+after = sieve.sigma_segment(2049, 4097, primes).values
+states.append(state())
+print(json.dumps([members, pattern, states, run, failed, after.tolist()]))
 """
 
 
@@ -679,16 +757,39 @@ def _python(script, *args, env=None):
     return json.loads(done.stdout)
 
 
-def test_kernel_builds_clean_and_sanitized(tmp_path):
+def _probed(primes):
+    """What _PROBE must print for PROBE_CASES and the run of _PROBE_PIECES"""
+
+    def held(hi):
+        # the primes a thread's sieve holds after a call that ends at hi
+        return int(np.count_nonzero((primes >= 11) & (primes <= isqrt(hi - 1))))
+
+    (lo, _), (_, hi) = _PROBE_PIECES[0], _PROBE_PIECES[-1]
+    # the pieces must match one fresh call over the whole run
+    run = hashlib.sha256(_fresh(lo, hi, primes).values.tobytes()).hexdigest()
+    states = [[hi, held(hi)] for _, hi in _PROBE_PIECES]
+    # the call far below resets, the failed one leaves nothing to continue,
+    # and the next starts afresh
+    states += [[2049, held(2049)], [0, 0], [4097, held(4097)]]
+    after = _fresh(2049, 4097, primes).values.tolist()
+    members = [member for *_, member in PROBE_CASES]
+    return [members, _pattern(), states, run, (1 << 64) - 1, after]
+
+
+# contiguous pieces near 10^12, where large primes wait in the pending list
+_PROBE_PIECES = _pieces(10**12 + 1, 3 * 65536 + 1000)
+
+
+def test_kernel_builds_clean_and_sanitized(tmp_path, primes_1e6):
     segments = json.dumps(HARD_SEGMENTS)
     fingerprints = _python(_FINGERPRINTS, sieve._KERNEL._name, segments)
     assert fingerprints == dict.fromkeys(_RUNS, HARD_FINGERPRINTS)
     source = sieve._SOURCE.read_bytes() + PROBE
     strict = tmp_path / "strict.so"
     sieve._compile(source, strict, (*sieve._CFLAGS, "-Wall", "-Wextra", "-Werror"))
-    cases, members = json.dumps(PROBE_CASES), [member for *_, member in PROBE_CASES]
-    probed = [members, _pattern()]
-    assert _python(_PROBE, strict, cases, PERIOD) == probed
+    cases, pieces = json.dumps(PROBE_CASES), json.dumps(_PROBE_PIECES)
+    probed = _probed(primes_1e6)
+    assert _python(_PROBE, strict, cases, PERIOD, pieces) == probed
     libasan, libubsan = (
         subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True)
         .stdout.strip()
@@ -700,9 +801,11 @@ def test_kernel_builds_clean_and_sanitized(tmp_path):
     flags = ("-O1", "-g", "-shared", "-fPIC", sanitize, "-fno-sanitize-recover=all")
     sanitized = tmp_path / "sanitized.so"
     sieve._compile(source, sanitized, flags)
-    env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
+    # the probe's failed call asks for more than the sanitizer allocates
+    options = "detect_leaks=0:allocator_may_return_null=1"
+    env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": options}
     assert _python(_FINGERPRINTS, sanitized, segments, env=env) == fingerprints
-    assert _python(_PROBE, sanitized, cases, PERIOD, env=env) == probed
+    assert _python(_PROBE, sanitized, cases, PERIOD, pieces, env=env) == probed
 
 
 # segments whose members and block edges meet: members in three blocks and
@@ -772,10 +875,66 @@ def test_sweep_matches_pinned_fingerprints(primes_to_root):
         assert digest.hexdigest() == expected, (lo, span)
 
 
+def test_contiguous_pieces_match_sweep_fingerprints(primes_to_root):
+    # each sweep segment again, as a run of contiguous calls on one thread:
+    # every call after the first continues the sieve where the last ended
+    for (lo, span), expected in zip(SWEEP_SEGMENTS, SWEEP_FINGERPRINTS, strict=True):
+        values, members = _run(_pieces(lo, span), primes_to_root)
+        digest = hashlib.sha256(values.tobytes() + members.astype(np.int64).tobytes())
+        assert digest.hexdigest() == expected, (lo, span)
+
+
+@pytest.mark.parametrize("lo", [1, 10**12 + 1])
+@pytest.mark.parametrize("step", [2, -2, -2 * 4096])
+def test_non_contiguous_call_resets(lo, step, primes_1e6):
+    # a call one slot past, one slot short of or far from where the thread's
+    # last call ended starts afresh, and the call after it continues it
+    sigma_segment(lo, lo + 2 * 4096, primes_1e6)
+    start = lo + 2 * 4096 + step
+    values, members = _run([(start, start + 8192), (start + 8192, start + 2 * 8192)], primes_1e6)
+    expected = _fresh(start, start + 2 * 8192, primes_1e6)
+    assert np.array_equal(values, expected.values)
+    assert members.tolist() == expected.members.tolist()
+
+
+@pytest.mark.parametrize("lo", [1, 10**12 + 1])
+def test_continuing_call_takes_any_valid_table(lo, primes_1e6, primes_to_root):
+    # the second call continues the first and takes the primes above those
+    # it holds, found by value in whichever table it is given: from lo = 1,
+    # sqrt(hi - 1) grows from 90 to 373
+    mid, hi = lo + 2 * 4096, lo + 2 * (4096 + 65536)
+    expected = _fresh(mid, hi, primes_1e6)
+    for table in (primes_to_root, primes_1e6[primes_1e6 > 7]):
+        sigma_segment(lo, mid, primes_1e6)
+        seg = sigma_segment(mid, hi, table)
+        assert np.array_equal(seg.values, expected.values)
+        assert seg.members.tolist() == expected.members.tolist()
+
+
+def test_threads_continue_their_own_runs(primes_1e6):
+    # two threads take turns, call by call, each on a contiguous run of its
+    # own, so each continues only its own sieve
+    starts, span = [10**12 + 1, 10**12 + 4 * (1 << 18) + 1], 1 << 18
+    turn = threading.Barrier(2, timeout=60)
+
+    def run(lo):
+        values = []
+        for a, b in _pieces(lo, span):
+            turn.wait()
+            values.append(sigma_segment(a, b, primes_1e6).values)
+        return np.concatenate(values)
+
+    with ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(run, starts))
+    for lo, values in zip(starts, runs):
+        assert np.array_equal(values, _fresh(lo, lo + 2 * span, primes_1e6).values), lo
+
+
 # run in a fresh interpreter: argv is a segment [lo, span]. After a warm-up
 # that sizes the thread's hits buffer, the process lowers its own address
-# space limit to just above its size, so the block lists of a segment near
-# MAX_LIMIT (~7 MB of chunks) cannot grow; then it restores the limit and
+# space limit to just above its size, so the lists of a segment near
+# MAX_LIMIT (~16 MB of chunks) cannot grow. That segment ends at lo, so the
+# given segment would continue it; the process restores the limit and
 # sieves the given segment on the same thread
 _OUT_OF_MEMORY = """
 import hashlib, json, resource, sys
@@ -793,7 +952,7 @@ with open("/proc/self/status") as fh:
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 20), hard))
 try:
-    sieve.sigma_segment(MAX_LIMIT - 2 * big + 1, MAX_LIMIT + 1, primes, values=False)
+    sieve.sigma_segment(lo - 2 * big, lo, primes, values=False)
     failed = None
 except MemoryError as exc:
     failed = str(exc)
@@ -806,17 +965,18 @@ print(json.dumps([failed, hashlib.sha256(seg.values.tobytes()).hexdigest(), seg.
 
 def test_kernel_out_of_memory_raises_and_the_thread_recovers():
     # only the child's own soft limit moves; the segment after it is the
-    # hard segment near MAX_LIMIT, whose fingerprint is known
+    # hard segment near MAX_LIMIT, whose fingerprint is known: the failed
+    # call reset the thread's sieve, so the next call starts afresh
     failed, *fingerprint = _python(_OUT_OF_MEMORY, json.dumps(HARD_SEGMENTS[4]))
     assert failed is not None and "ran out of memory" in failed
     assert fingerprint == HARD_FINGERPRINTS[4]
 
 
-# run in a fresh interpreter: the VmRSS that one values=False segment of
-# 2^22 slots ending at MAX_LIMIT adds on a fresh thread (its own heap), and
-# the number of sieving primes
+# run in a fresh interpreter: the VmRSS that a run of argv[1] (by default
+# one) contiguous values=False segments of 2^22 slots ending at MAX_LIMIT
+# adds on a fresh thread (its own heap), and the number of sieving primes
 _LIST_MEMORY = """
-import json, threading
+import json, sys, threading
 from math import isqrt
 from spoofscan import sieve
 from spoofscan.arith import sieve_primes
@@ -826,16 +986,18 @@ def rss():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmRSS:"))
 
-span = 1 << 22
+span, calls = 1 << 22, int(sys.argv[1]) if len(sys.argv) > 1 else 1
 primes = sieve_primes(isqrt(MAX_LIMIT))
 added = []
 
-def sieve_once():
+def sieve_run():
     before = rss()
-    sieve.sigma_segment(MAX_LIMIT - 2 * span + 1, MAX_LIMIT + 1, primes, values=False)
+    for k in range(calls, 0, -1):
+        lo = MAX_LIMIT - 2 * span * k + 1
+        sieve.sigma_segment(lo, lo + 2 * span, primes, values=False)
     added.append(rss() - before)
 
-thread = threading.Thread(target=sieve_once)
+thread = threading.Thread(target=sieve_run)
 thread.start()
 thread.join()
 print(json.dumps([added[0], len(primes)]))
@@ -846,7 +1008,24 @@ def test_kernel_list_memory_is_bounded_by_the_primes():
     # a large prime waits in one block list at a time, so the lists hold at
     # most one 8-byte entry per sieving prime, plus a partial 8 KiB chunk per
     # block; with the block of cells that bounds the call at any span. An
-    # entry per hit, not per prime, would take ~28 MB here, these ~7 MB
+    # entry per hit, not per prime, would take ~28 MB here, these ~17 MB,
+    # nearly all of it the pending list, where every large prime waits for
+    # the next call
     added, primes = _python(_LIST_MEMORY)
     bound = 8 * primes + (1 << 22) // BLOCK * (8 << 10) + 16 * BLOCK
+    assert added < bound, (added, bound)
+
+
+def test_kernel_memory_of_a_contiguous_run_is_bounded_by_the_primes():
+    # between calls every large prime waits in the pending list, and a
+    # continuing call hands each pending chunk back to the spares as soon as
+    # it has moved the chunk's entries on, so that no entry is held twice.
+    # Unlike one call, a run holds every sieving prime at once, so its
+    # bound is that of one call with each chunk at its size in the heap
+    # (8 KiB and malloc's 16 bytes for 1022 entries), and with the carried
+    # table of the primes below BLOCK (three 8-byte words each); freeing the
+    # chunks only after the whole hand-off would add ~15 MB here
+    added, primes = _python(_LIST_MEMORY, 3)
+    chunk = (8 << 10) + 16
+    bound = chunk * primes // 1022 + (1 << 22) // BLOCK * chunk + 16 * BLOCK + 24 * BLOCK_PRIMES
     assert added < bound, (added, bound)
