@@ -23,7 +23,7 @@
       trades sigma(p^2) = 1 + p + p^2 (odd, so an exact multiplication by
       its inverse) for sigma(p^e), and loses p^e;
    3. the odd primes from 11 to below BLOCK, each carrying its next slot
-      from block to block;
+      from block to block; the kernel makes them itself, once per thread;
    4. the larger primes, which hit a block at most once each: each waits
       in the list of the block of its next hit, and when that block comes
       it takes its hit and moves on to the list of the block after, or,
@@ -43,10 +43,11 @@
    within a call (the bucket sieve of the paper above, and primesieve's).
    Such a call hands each pending prime to the list of the block of its
    next hit, or leaves it pending with its offset moved on by the call's
-   length. Every call then takes the primes of the input above the largest
-   one it holds, up to sqrt(hi - 1), and finds them by value, so any table
-   that holds them serves. A call at any other lo, or a call that fails,
-   resets the position: the next call starts from nothing.
+   length. Every call then takes the primes up to sqrt(hi - 1) that it
+   does not hold yet: those below BLOCK from its own table, and those of
+   the input from BLOCK up above the largest one it holds, found by value,
+   so any table that holds them serves. A call at any other lo, or a call
+   that fails, resets the position: the next call starts from nothing.
 
    Division by p is a multiplication by its inverse modulo 2^64 (Granlund
    and Montgomery, PLDI 1994): c * inv is c / p exactly when p divides c,
@@ -54,12 +55,13 @@
    uint64_t, whose overflow is defined; sieve.py keeps n below 2^51, so
    every true value (n, 2n, sigma(n) < 4n) stays below 2^53.
 
-   sigma_fill's scratch, the block of cells, the per-block lists and the
-   pending list, the sieve's position (the table of the primes from 11 to
-   below BLOCK with their inverses and next slots, ~84 KiB) and the
-   pattern's two tables (a code byte per residue and the 27 forms, ~11.4
-   KiB), is a struct work per thread, found through one pthread key: a
-   thread's first call makes it and builds the tables, and the key's
+   sigma_fill's scratch, the block of cells, the fixed heads of the
+   per-block lists (4 KiB) and the pending list, the sieve's position (the
+   table of the primes from 11 to below BLOCK with their inverses and next
+   slots, ~84 KiB) and the pattern's two tables (a code byte per residue
+   and the 27 forms, ~11.4 KiB), is a struct work per thread, found
+   through one pthread key: a thread's first call makes it and builds the
+   pattern and the primes below BLOCK, and the key's
    destructor frees it as the thread exits, so it is never freed under a
    running call (a thread still running at process exit leaves it to the
    operating system). The lists are built from chunks of 8 KiB, each of
@@ -83,10 +85,11 @@
 
 /* slots per block: a block of cells fills 512 KiB */
 #define BLOCK 32768
-/* the odd primes below BLOCK, pi(32768) - 1; bounds the small-prime table
-   for any input, since primes past it go to the block lists, which are
-   exact for any p */
-#define BLOCK_PRIMES 3511
+/* the odd primes from 11 to below BLOCK, pi(32768) - 4: the small primes,
+   which the kernel makes itself */
+#define BLOCK_PRIMES 3508
+/* the most blocks of a call: MAX_SPAN / BLOCK, MAX_SPAN as in sieve.py */
+#define MAX_BLOCKS 512
 /* the period of the pattern of 3, 5 and 7, in slots: 9 * 25 * 49 */
 #define PERIOD 11025
 
@@ -149,15 +152,15 @@ struct form {
 };
 
 /* a thread's scratch, kept from call to call: a list of chunks per block,
-   the spare chunks, the sieve's position, the pattern (the code of each
-   residue and the form of each code) and the cells of one block. The
-   position is what a call starting at lo == at continues: each small
-   prime (from 11 to below BLOCK) with its inverse and next slot, the next
-   slots of 27, 125 and 343, and the pending list of the large primes; all
-   slots count from at, and last is the largest prime held */
+   the spare chunks, the sieve's position, the small primes with their
+   inverses, the pattern (the code of each residue and the form of each
+   code) and the cells of one block. The position is what a call starting
+   at lo == at continues: the first nsmall small primes, each with its
+   next slot, the next slots of 27, 125 and 343, and the pending list of
+   the large primes; all slots count from at, and last is the largest
+   large prime held, or BLOCK when there is none */
 struct work {
-    struct chunk **list;
-    uint64_t nlist;
+    struct chunk *list[MAX_BLOCKS];
     struct chunk *spare;
     struct chunk *pending;
     uint64_t at, last, nsmall, cube[3];
@@ -182,22 +185,6 @@ static void to_spares(struct work *w, struct chunk **list)
     for (struct chunk *c = *list; c;)
         c = give_back(w, c);
     *list = NULL;
-}
-
-/* room for the lists of blocks blocks, all empty between calls; -1 when
-   memory runs out */
-static int grow_lists(struct work *w, uint64_t blocks)
-{
-    if (w->nlist < blocks) {
-        struct chunk **grown = realloc(w->list, blocks * sizeof *grown);
-        if (!grown)
-            return -1;
-        for (uint64_t b = w->nlist; b < blocks; b++)
-            grown[b] = NULL;
-        w->list = grown;
-        w->nlist = blocks;
-    }
-    return 0;
 }
 
 /* a new first chunk for list, a spare one if there is one; -1 when memory
@@ -240,12 +227,12 @@ static inline int wait_at(struct work *w, uint64_t p, uint64_t i, uint64_t m)
 }
 
 /* forgets the sieve's position, so that no call continues it; the primes
-   up to 7 count as held, since the pattern takes them out */
+   below BLOCK never come from the input */
 static void reset(struct work *w)
 {
     to_spares(w, &w->pending);
     w->at = 0;
-    w->last = 7;
+    w->last = BLOCK;
     w->nsmall = 0;
 }
 
@@ -280,7 +267,6 @@ static void work_free(void *arg)
         next = c->next;
         free(c);
     }
-    free(w->list);
     free(w);
 }
 
@@ -313,6 +299,25 @@ static void build_pattern(struct work *w)
     }
 }
 
+/* fills the small primes and their inverses: a sieve of Eratosthenes over
+   the odd numbers below BLOCK, whose flags borrow the cells, still zero
+   from calloc; the first call overwrites them. Out of line, so that it
+   stays out of sigma_fill, into which thread_work is inlined */
+static __attribute__((noinline)) void build_primes(struct work *w)
+{
+    unsigned char *composite = (unsigned char *)w->cell;
+    uint64_t k = 0;
+    for (uint64_t p = 3; p < BLOCK; p += 2)
+        if (!composite[p / 2]) {
+            for (uint64_t q = p * p; q < BLOCK; q += 2 * p)
+                composite[q / 2] = 1;
+            if (p >= 11) {
+                w->small[k] = p;
+                w->inv[k++] = inverse(p);
+            }
+        }
+}
+
 static void make_key(void)
 {
     key_failed = pthread_key_create(&key, work_free) != 0;
@@ -333,6 +338,7 @@ static struct work *thread_work(void)
         return NULL;
     }
     build_pattern(w);
+    build_primes(w);
     return w;
 }
 
@@ -353,14 +359,18 @@ static __attribute__((noinline)) int resume(struct work *w, uint64_t m)
     return failed;
 }
 
-/* takes the sieving primes of a call of m slots from lo above the last one
-   held, found by value, so that any table that holds them serves. A prime
-   below BLOCK carries its next slot; a larger one waits for the block of
-   its next hit. -1 when memory runs out */
+/* takes the sieving primes of a call of m slots from lo that it does not
+   hold yet: the next small primes, each with its next slot, and the primes
+   of the input above the last one held, from BLOCK up, found by value, so
+   that any table that holds them serves; each waits for the block of its
+   next hit. -1 when memory runs out */
 static __attribute__((noinline)) int take_primes(struct work *w, uint64_t lo, uint64_t m,
                                                  const uint64_t *primes, uint64_t np)
 {
-    uint64_t k = 0, top = lo + 2 * m - 1;
+    uint64_t k = 0, top = lo + 2 * m - 1, s;
+    for (s = w->nsmall; s < BLOCK_PRIMES && w->small[s] <= top / w->small[s]; s++)
+        w->next[s] = first_slot(lo, w->small[s]);
+    w->nsmall = s;
     for (uint64_t end = np; k < end;) {
         uint64_t mid = k + (end - k) / 2;
         if (primes[mid] <= w->last)
@@ -368,27 +378,22 @@ static __attribute__((noinline)) int take_primes(struct work *w, uint64_t lo, ui
         else
             end = mid;
     }
-    for (; k < np && primes[k] <= top / primes[k]; k++) {
-        uint64_t p = w->last = primes[k], i = first_slot(lo, p);
-        if (p < BLOCK && w->nsmall < BLOCK_PRIMES) {
-            w->small[w->nsmall] = p;
-            w->inv[w->nsmall] = inverse(p);
-            w->next[w->nsmall++] = i;
-        } else if (wait_at(w, p, i, m))
+    for (; k < np && primes[k] <= top / primes[k]; k++)
+        if (wait_at(w, w->last = primes[k], first_slot(lo, primes[k]), m))
             return -1;
-    }
     return 0;
 }
 
 /* Write each member slot i, ascending, to hits as the pair i, sigma(lo + 2i),
    and, unless sig is NULL, fill sig[0..m) with sigma(lo + 2i). hits has
-   room for m pairs. primes is ascending and holds every odd prime up to
-   sqrt(hi - 1), hi = lo + 2m; 2, the pattern's 3, 5 and 7, and the primes
-   above sqrt(hi - 1) are skipped. A call whose lo is the hi of this
-   thread's last successful call continues its sieve and takes from primes
-   only those above the ones it holds. Returns the number of members, or
-   UINT64_MAX when memory runs out, which resets the thread's position; the
-   thread's scratch stays valid either way. */
+   room for m pairs. primes is ascending and holds every prime from BLOCK up
+   to sqrt(hi - 1), hi = lo + 2m; its primes below BLOCK or above
+   sqrt(hi - 1) are skipped. A call whose lo is the hi of this thread's
+   last successful call continues its sieve and takes from primes only
+   those above the ones it holds. Returns the number of members, or
+   UINT64_MAX when memory runs out or m exceeds MAX_BLOCKS blocks, which
+   resets the thread's position; the thread's scratch stays valid either
+   way. */
 uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np,
                     uint64_t *sig, uint64_t *hits)
 {
@@ -397,7 +402,7 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
     struct work *w = thread_work();
     if (!w)
         return UINT64_MAX;
-    int failed = grow_lists(w, blocks);
+    int failed = m > MAX_BLOCKS * BLOCK;
     struct cell *cell = w->cell;
 
     if (failed || lo != w->at) {
@@ -444,20 +449,16 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
                 hit(&cell[i], p, inv);
             w->next[j] = i - len;
         }
-        /* each listed prime hits its cell, then waits for the block of its
-           next hit, a later one or one past the call: p >= len unless the
-           input holds more than BLOCK_PRIMES primes below BLOCK, and then p
-           takes all its hits in this block first. Each chunk goes back to
-           the spares once it is done */
+        /* each listed prime, above BLOCK, hits its cell once, then waits
+           for the block of its next hit, a later one or one past the call.
+           Each chunk goes back to the spares once it is done */
         struct chunk *listed = w->list[b];
         for (w->list[b] = NULL; !failed && listed; listed = give_back(w, listed))
             for (j = 0; !failed && j < listed->n; j++) {
-                uint64_t p = listed->entry[j] >> 32, inv = inverse(p);
+                uint64_t p = listed->entry[j] >> 32;
                 i = listed->entry[j] & 0xffffffff;
-                do
-                    hit(&cell[i], p, inv);
-                while ((i += p) < len);
-                failed = wait_at(w, p, b0 + i, m);
+                hit(&cell[i], p, inverse(p));
+                failed = wait_at(w, p, b0 + i + p, m);
             }
         to_spares(w, &listed);
         /* c + (c != 1) is 1 for c = 1 and c + 1 for a prime c; a branch on
@@ -475,7 +476,7 @@ uint64_t sigma_fill(uint64_t lo, uint64_t m, const uint64_t *primes, uint64_t np
     }
     if (failed) {
         /* the block lists are empty between calls */
-        for (uint64_t b = 0; b < w->nlist; b++)
+        for (uint64_t b = 0; b < MAX_BLOCKS; b++)
             to_spares(w, &w->list[b]);
         reset(w);
         return UINT64_MAX;

@@ -14,8 +14,9 @@ never divides an odd n and is skipped.
 
 The kernel is one C call per segment (_kernel.c). It finishes the
 segment block by block while each block's cells are in cache: the
-pattern and the cube pass, the primes from 11 to below the block size,
-then the larger primes, each waiting in the list of the block of its
+pattern and the cube pass, the primes from 11 to below the block size
+(2^15), which the kernel makes itself, then the larger primes, taken
+from the caller's list, each waiting in the list of the block of its
 next hit, then one pass that takes the leftover cofactors and runs the
 membership scan (the kernel's only one), so a segment comes back with
 its member slots, each with its sigma, and, unless the caller asks for
@@ -27,28 +28,28 @@ of the source and the flags, and deletes the builds of earlier sources
 there; later imports load that library. ctypes releases the GIL for each
 call, so worker threads sieve in parallel.
 
-Each thread keeps the kernel's scratch (a block of cells, the
-per-block lists and the pending list, whose pooled chunks hold one entry
-per sieving prime from the block size up, the table of the smaller
-sieving primes and the pattern's tables), which the kernel itself makes
-on the thread's first call and frees when the thread ends (a search's
-worker threads end with the search), and the buffer the kernel writes
-member pairs to, 16 bytes per slot but touched only at members. So after
-a thread's first segment a call without values (the search's) allocates
-only its members, and one with values adds the values array it returns.
-The scratch of a thread still running at interpreter exit is left to the
-operating system.
+Each thread keeps the kernel's scratch (a block of cells, the fixed
+heads of the per-block lists, those lists and the pending list, whose
+pooled chunks hold one entry per sieving prime from the block size up,
+the table of the smaller sieving primes and the pattern's tables), which
+the kernel itself makes, with those two tables, on the thread's first
+call and frees when the thread ends (a search's worker threads end with
+the search), and the buffer the kernel writes member pairs to, 16 bytes
+per slot but touched only at members. So after a thread's first segment
+a call without values (the search's) allocates only its members, and one
+with values adds the values array it returns. The scratch of a thread
+still running at interpreter exit is left to the operating system.
 
 The scratch also holds the sieve's position, so a call that starts where
 the same thread's last call ended continues that sieve: it finds no
 prime's first multiple again, takes from the prime list only the primes
-above those it already holds, and each large prime waiting past the last
-call's end moves on. Any other start, or a call that fails, resets the
-position. A search's task of contiguous segments runs on one thread, so
-every segment of a task after its first continues. The thread also keeps
-the addresses of its hits buffer and of the last prime table it was
-given (with a reference to that table), so a call builds no ctypes
-objects for them.
+above those it already holds (and never one below the block size), and
+each large prime waiting past the last call's end moves on. Any other
+start, or a call that fails, resets the position. A search's task of
+contiguous segments runs on one thread, so every segment of a task after
+its first continues. The thread also keeps the addresses of its hits
+buffer and of the last prime table it was given (with a reference to
+that table), so a call builds no ctypes objects for them.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ from .arith import is_prime
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
 # Odd slots per segment. A thread's kernel scratch, kept from its first call
-# until it ends, is 512 KiB of cells, ~84 KiB of small-prime table and
-# ~11.4 KiB of pattern tables plus lists of 8 bytes per sieving prime from
+# until it ends, is 512 KiB of cells, ~84 KiB of small-prime table, ~11.4
+# KiB of pattern tables and 4 KiB of block-list heads (MAX_SPAN / 2^15 of
+# them) plus lists of 8 bytes per sieving prime from
 # 32768 up, which the pending list keeps between calls, and a partial 8 KiB
 # chunk per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 and
 # ~18 MB there at MAX_SPAN), and its hits buffer reserves 16 bytes per slot
@@ -217,15 +219,16 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
 
     `primes` must be an ascending array containing every odd prime up to
     sqrt(hi - 1); extra primes are ignored. With values=False the kernel
-    keeps sigma only at members, and the segment computes its values
-    when they are first read. Raises ValueError when a prime between the
-    list's largest entry and sqrt(hi - 1) is missing, when (hi - lo) / 2
-    exceeds MAX_SPAN and when hi exceeds MAX_HI, and MemoryError when the
-    kernel runs out of memory. The kernel takes out 3, 5 and 7 itself,
-    whatever the list holds. A prime from 11 up missing below the largest
-    entry, or a repeated or unsorted entry from 11 up, is not detected: the
-    values come out wrong. A call whose lo is the hi of this thread's last
-    successful call continues that call's sieve and uses the primes it
+    keeps sigma only at members, and the segment computes its values when
+    they are first read. Raises ValueError when a prime between the list's
+    largest entry and sqrt(hi - 1) is missing, when (hi - lo) / 2 exceeds
+    MAX_SPAN and when hi exceeds MAX_HI, and MemoryError when the kernel
+    runs out of memory. The kernel sieves with its own primes below 2^15 and
+    reads the list only from 2^15 up, so what the list holds below that does
+    not reach the values. A prime from 2^15 up missing below the largest
+    entry, or a repeated or unsorted entry from 2^15 up, is not detected:
+    the values come out wrong. A call whose lo is the hi of this thread's
+    last successful call continues that call's sieve and uses the primes it
     already holds, taking from `primes` only those above them; the check
     above still covers the gap above the list's largest entry.
     """

@@ -234,6 +234,68 @@ def test_checkpoint_round_trip(tmp_path):
         read_checkpoint(path)
 
 
+# the names perfbench's tracer wraps on this module (TRACED in
+# perfbench/tracing.py): its layer metrics are missing unless the search
+# looks each up here at call time, as many times as checked below
+TRACED = (
+    "sieve_primes",
+    "sigma_segment",
+    "_scan_segment",
+    "_record_for",
+    "_write_checkpoint",
+    "read_checkpoint",
+    "read_results",
+)
+
+
+def test_traced_names_are_called_through_the_module(tmp_path, monkeypatch):
+    calls = {name: [] for name in TRACED}
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            calls[name].append((args, result))
+            return result
+
+        return call
+
+    for name in TRACED:
+        monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+    limit, span = 10**5, 1024
+    config = SearchConfig(
+        limit=limit,
+        results_path=tmp_path / "out.txt",
+        checkpoint_path=tmp_path / "cp.txt",
+        segment_span=span,
+        worker_count=2,
+    )
+    starts = list(range(1, limit + 1, 2 * span))
+
+    def check(records, starts, resumed):
+        for name in ("sigma_segment", "_scan_segment"):
+            assert sorted(args[0] for args, _ in calls[name]) == starts, name
+        assert calls["sieve_primes"]
+        assert calls["_write_checkpoint"]
+        assert len(calls["_record_for"]) == len(records)
+        assert len(calls["read_checkpoint"]) == len(calls["read_results"]) == resumed
+        for made in calls.values():
+            made.clear()
+
+    records = search_range(config)
+    # the tracer counts deficient slots from the values of each lean segment
+    _, lean = calls["sigma_segment"][3]
+    assert lean.values.tolist() == [sigma_single(n) for n in range(lean.lo, lean.hi, 2)]
+    check(records, starts, 0)
+    # a resume of the last 8 segments, as after an interrupt there
+    next_lo = starts[-8]
+    header, *lines = (tmp_path / "out.txt").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if int(line.split("\t")[0]) < next_lo]
+    (tmp_path / "out.txt").write_text(header + "".join(kept))
+    (tmp_path / "cp.txt").write_text(f"limit={limit}\nnext={next_lo}\nfound={len(kept)}\n")
+    assert resume(config) == records
+    check([r for r in records if r.n >= next_lo], starts[-8:], 1)
+
+
 def test_ctrl_c_leaves_resumable_pair(tmp_path, search_1e6):
     config = SearchConfig(
         limit=10**6,

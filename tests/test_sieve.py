@@ -30,8 +30,10 @@ def _kernel_define(name):
 
 
 # slots per block of the C kernel: primes below it run block by block,
-# larger ones through per-block lists; BLOCK_PRIMES bounds the former
+# larger ones through per-block lists; BLOCK_PRIMES counts the former, which
+# the kernel makes itself, and MAX_BLOCKS is the number of list heads
 BLOCK, BLOCK_PRIMES = _kernel_define("BLOCK"), _kernel_define("BLOCK_PRIMES")
+MAX_BLOCKS = _kernel_define("MAX_BLOCKS")
 # slots per period of the kernel's pattern of 3, 5 and 7
 PERIOD = _kernel_define("PERIOD")
 _PRIMES = sieve_primes(2 * BLOCK)
@@ -71,8 +73,14 @@ def _sigma_by_trial_division(n, primes):
 
 
 def test_block_primes_counts_the_odd_primes_below_block():
-    # sigma_fill carries one next slot per odd prime below BLOCK
-    assert BLOCK_PRIMES == np.count_nonzero(_PRIMES < BLOCK) - 1
+    # sigma_fill carries one next slot per odd prime below BLOCK but 3, 5
+    # and 7, which the pattern takes out
+    assert BLOCK_PRIMES == np.count_nonzero((_PRIMES >= 11) & (_PRIMES < BLOCK))
+
+
+def test_max_blocks_covers_max_span():
+    # the kernel's fixed list heads cover the largest segment sieve.py allows
+    assert MAX_SPAN == MAX_BLOCKS * BLOCK
 
 
 def test_first_odd_values():
@@ -220,10 +228,18 @@ def test_smallest_segments_match_divisor_enumeration(sigma_table_1e6, primes_1e6
     for hi in range(3, 401, 2):
         seg = sigma_segment(1, hi, primes_1e6)
         assert np.array_equal(seg.values, sigma_table_1e6[1:hi:2]), hi
-    # the pattern takes out 3, 5 and 7 whatever the prime list holds
-    for primes in ([5], [3, 3, 3, 5], [7]):
-        seg = sigma_segment(1, 31, np.array(primes))
-        assert np.array_equal(seg.values, sigma_table_1e6[1:31:2]), primes
+    # the pattern takes out 3, 5 and 7 and the kernel sieves with its own
+    # primes below BLOCK, whatever the prime list holds there: a hole at 11
+    # or a repeated 11 does not reach the values
+    for primes, hi in [
+        ([5], 31),
+        ([3, 3, 3, 5], 31),
+        ([7], 31),
+        ([3, 5, 7, 13], 287),
+        ([3, 5, 7, 11, 11, 13, 17], 301),
+    ]:
+        seg = sigma_segment(1, hi, np.array(primes))
+        assert np.array_equal(seg.values, sigma_table_1e6[1:hi:2]), primes
 
 
 @pytest.mark.parametrize(
@@ -354,6 +370,11 @@ def test_rejects_even_or_inverted_bounds():
 def test_rejects_insufficient_primes():
     with pytest.raises(ValueError, match="misses prime"):
         sigma_segment(1, 11, np.array([2], dtype=np.int64))  # needs 3 for sigma(9)
+    # above 2^30 the kernel needs the input's primes from BLOCK up: the
+    # table stops short of 40009 <= sqrt(hi - 1)
+    lo = 2**31 + 1
+    with pytest.raises(ValueError, match="misses prime 40009"):
+        sigma_segment(lo, lo + 2 * 1024, sieve_primes(40000))
 
 
 def test_rejects_oversized_span():
@@ -684,8 +705,9 @@ PROBE_CASES = [
 # flags, [code, inv, sig] at each residue, and the sieve's states. The run
 # of pieces gives each call after the first only the primes above sqrt(lo - 1):
 # a call that reset would hold none of the rest, and sieve wrong values. A
-# call far below follows, then one that would continue it but cannot get
-# its block lists, then one where that call would have continued
+# call far below follows, then one that would continue it but has more
+# blocks than the kernel's MAX_BLOCKS, then one where that call would have
+# continued
 _PROBE = """
 import ctypes, hashlib, json, sys
 from math import isqrt
@@ -801,9 +823,7 @@ def test_kernel_builds_clean_and_sanitized(tmp_path, primes_1e6):
     flags = ("-O1", "-g", "-shared", "-fPIC", sanitize, "-fno-sanitize-recover=all")
     sanitized = tmp_path / "sanitized.so"
     sieve._compile(source, sanitized, flags)
-    # the probe's failed call asks for more than the sanitizer allocates
-    options = "detect_leaks=0:allocator_may_return_null=1"
-    env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": options}
+    env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
     assert _python(_FINGERPRINTS, sanitized, segments, env=env) == fingerprints
     assert _python(_PROBE, sanitized, cases, PERIOD, pieces, env=env) == probed
 
