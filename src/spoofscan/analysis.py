@@ -28,6 +28,9 @@ __all__ = [
     "density_csv",
 ]
 
+# significant digits of a rendered ratio
+_RATIO_DIGITS = 17
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -167,14 +170,14 @@ def schnirelmann_glb(members, limit: int) -> tuple[Fraction, int]:
     return best, best_n
 
 
-def ratio_decimal(value: Fraction, sig: int = 17) -> str:
-    """Exact decimal rendering of a ratio in (0, 1], `sig` significant
-    digits correctly rounded, trailing zeros stripped."""
+def ratio_decimal(value: Fraction) -> str:
+    """Exact decimal rendering of a ratio in (0, 1], _RATIO_DIGITS
+    significant digits correctly rounded, trailing zeros stripped."""
     num, den = value.numerator, value.denominator
     if not 0 < num <= den:
         raise ValueError(f"ratio must be in (0, 1], got {value}")
-    # the quotient of two exact Decimals, rounded once to sig digits
-    context = Context(prec=sig, rounding=ROUND_HALF_UP)
+    # the quotient of two exact Decimals, rounded once
+    context = Context(prec=_RATIO_DIGITS, rounding=ROUND_HALF_UP)
     return format(context.divide(Decimal(num), Decimal(den)).normalize(context), "f")
 
 

@@ -360,11 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("fit", help="least-squares alpha for count ~ alpha*log(k)")
-    p.add_argument("--in", dest="infile", help="results file (fit at member points)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="results file (fit at member points)")
+    source.add_argument("--points", help="CSV file of k,count pairs to fit instead")
     p.add_argument(
         "--decades", action="store_true", help="fit at decade points instead"
     )
-    p.add_argument("--points", help="CSV file of k,count pairs to fit instead")
     p.add_argument(
         "--weighting",
         choices=("poisson", "uniform"),
@@ -389,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_fit and not (args.points or args.infile):
-        return _fail("fit needs --in or --points")
     try:
         return args.func(args)
     except (IntegrityError, ValueError) as exc:

@@ -38,10 +38,8 @@ from math import isqrt
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .arith import sieve_primes
-from .membership import MemberRecord, ProductClass, classify_witness
+from .membership import MemberRecord, ProductClass, check_membership, classify_witness
 from .sieve import MAX_SPAN, DEFAULT_SPAN, sigma_segment
 
 __all__ = [
@@ -70,14 +68,9 @@ CHECKPOINT_EVERY = 64
 # wake-up of a task, all under the GIL, are paid once per ~2^18 slots
 # rather than once per small segment
 TASK_SLOTS = 1 << 18
-# tasks in flight per worker, the one the writer is on included: a worker
-# that finishes a task finds the next one queued even while the writer
-# waits on an older, slower one, and a queued task holds no arrays; at
-# most WINDOW_PER_WORKER x workers x max(span, TASK_SLOTS) slots are in
-# flight, 8 x workers x 2^20 at the default span. A task sieves without
-# a values array (sigma_segment(..., values=False)): a finished task holds
-# only its members, and a worker's memory is its kernel scratch and hits
-# buffer, reused from task to task and freed as its thread ends with the search
+# tasks in flight per worker, the one the writer is on included, so at
+# most WINDOW_PER_WORKER x workers x max(span, TASK_SLOTS) slots; a task
+# keeps no values (sigma_segment(..., values=False)), only its members
 WINDOW_PER_WORKER = 8
 
 
@@ -113,25 +106,22 @@ class Checkpoint:
     found_count: int
 
 
-def _scan_segment(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
-    """(n, sigma, x) for every member in [lo, hi)."""
+def _scan_segment(lo: int, hi: int, primes) -> list[tuple[int, int]]:
+    """(n, sigma(n)) for every member n in [lo, hi)."""
     seg = sigma_segment(lo, hi, primes, values=False)
-    out = []
-    for i, s in zip(seg.members.tolist(), seg.member_sigma.tolist()):
-        n = lo + 2 * i
-        out.append((n, s, s // (2 * n - s)))
-    return out
+    return [(lo + 2 * i, s) for i, s in zip(seg.members.tolist(), seg.member_sigma.tolist())]
 
 
-def _scan_task(bounds: list[tuple[int, int]], primes: np.ndarray) -> list[tuple[int, list]]:
+def _scan_task(bounds: list[tuple[int, int]], primes) -> list[tuple[int, list]]:
     """(hi, hits) for each segment [lo, hi) in bounds, in order."""
     return [(hi, _scan_segment(lo, hi, primes)) for lo, hi in bounds]
 
 
-def _record_for(n: int, sigma_n: int, x: int) -> MemberRecord:
-    # exact identity check in unbounded ints; a failure is a kernel bug
-    if 2 * n * x != sigma_n * (x + 1):
-        raise AssertionError(f"membership identity violated for n={n}, x={x}")
+def _record_for(n: int, sigma_n: int) -> MemberRecord:
+    x = check_membership(n, sigma_n)
+    if x is None:
+        # the kernel reported a slot that is not a member: a kernel bug
+        raise AssertionError(f"sieve kernel reported non-member n={n}, sigma={sigma_n}")
     return MemberRecord(n=n, x=x, product_class=classify_witness(x))
 
 
@@ -230,8 +220,8 @@ def _run(
     try:
         with open(config.results_path, "a", encoding="ascii", newline="\n") as fh:
             for done, (hi, hits) in enumerate(in_order(pool), start=1):
-                for n, sigma_n, x in hits:
-                    rec = _record_for(n, sigma_n, x)
+                for n, sigma_n in hits:
+                    rec = _record_for(n, sigma_n)
                     records.append(rec)
                     lines.append(f"{rec.n}\t{rec.x}\t{rec.product_class.value}\n")
                     found += 1

@@ -1,55 +1,22 @@
-"""Segmented sieve for sigma(n) over odd n in a half-open range.
+"""Binding of the sigma sieve kernel, _kernel.c, whose header describes it.
 
-For each odd n in [lo, hi) the kernel keeps two accumulators in one
-cell: the remaining cofactor and the partial sigma product. They start
-from a pattern of period 9 * 25 * 49 that has taken 3, 5 and 7 out up to
-their squares: n / (3^a 5^b 7^c) and sigma(3^a) sigma(5^b) sigma(7^c),
-where a, b and c are min(v_p(n), 2) for p = 3, 5 and 7; a cube pass
-finishes the odd multiples of 27, 125 and 343. For every odd prime p from
-11 up to sqrt(hi - 1) the kernel visits the odd multiples of p, pulls
-the full power p^e out of the cofactor and multiplies the partial sigma
-by 1 + p + ... + p^e. Whatever cofactor is left afterwards is either 1
-or a single prime q > sqrt(hi - 1), which contributes q + 1. The prime 2
-never divides an odd n and is skipped.
+sigma_segment(lo, hi, primes) computes, in one C call, sigma(n) for every
+odd n in [lo, hi) and the members among them: the n for which
+d = 2n - sigma(n) > 0 divides sigma(n). It rejects bounds that are not odd
+and ascending, a segment of more than MAX_SPAN odd slots, an hi above
+MAX_HI and a prime list that misses a prime above its largest entry up to
+sqrt(hi - 1).
 
-The kernel is one C call per segment (_kernel.c). It finishes the
-segment block by block while each block's cells are in cache: the
-pattern and the cube pass, the primes from 11 to below the block size
-(2^15), which the kernel makes itself, then the larger primes, taken
-from the caller's list, each waiting in the list of the block of its
-next hit, then one pass that takes the leftover cofactors and runs the
-membership scan (the kernel's only one), so a segment comes back with
-its member slots, each with its sigma, and, unless the caller asks for
-none, the sigma value of every slot. The
-order of the kernel's functions is set for code placement, on which its
-speed depends (see _kernel.c). The first import compiles _kernel.c with
-`cc` into this package's __pycache__, under a name keyed by a checksum
-of the source and the flags, and deletes the builds of earlier sources
-there; later imports load that library. ctypes releases the GIL for each
-call, so worker threads sieve in parallel.
+The first import compiles _kernel.c with `cc` into this package's
+__pycache__, under a name keyed by a checksum of the source and the flags,
+and deletes the builds of earlier sources there; later imports load that
+library. ctypes releases the GIL for each call, so threads sieve in
+parallel. Each thread has its own kernel scratch and hits buffer, kept from
+call to call and freed when the thread ends.
 
-Each thread keeps the kernel's scratch (a block of cells, the fixed
-heads of the per-block lists, those lists and the pending list, whose
-pooled chunks hold one entry per sieving prime from the block size up,
-the table of the smaller sieving primes and the pattern's tables), which
-the kernel itself makes, with those two tables, on the thread's first
-call and frees when the thread ends (a search's worker threads end with
-the search), and the buffer the kernel writes member pairs to, 16 bytes
-per slot but touched only at members. So after a thread's first segment
-a call without values (the search's) allocates only its members, and one
-with values adds the values array it returns. The scratch of a thread
-still running at interpreter exit is left to the operating system.
-
-The scratch also holds the sieve's position, so a call that starts where
-the same thread's last call ended continues that sieve: it finds no
-prime's first multiple again, takes from the prime list only the primes
-above those it already holds (and never one below the block size), and
-each large prime waiting past the last call's end moves on. Any other
-start, or a call that fails, resets the position. A search's task of
-contiguous segments runs on one thread, so every segment of a task after
-its first continues. The thread also keeps the addresses of its hits
-buffer and of the last prime table it was given (with a reference to
-that table), so a call builds no ctypes objects for them.
+A call whose lo is the hi of the same thread's last successful call
+continues that call's sieve, with the same result as a fresh call; a
+search runs each task of contiguous segments on one thread for this.
 """
 
 from __future__ import annotations
@@ -68,15 +35,8 @@ from .arith import is_prime
 
 __all__ = ["SigmaSegment", "sigma_segment", "DEFAULT_SPAN", "MAX_SPAN"]
 
-# Odd slots per segment. A thread's kernel scratch, kept from its first call
-# until it ends, is 512 KiB of cells, ~84 KiB of small-prime table, ~11.4
-# KiB of pattern tables and 4 KiB of block-list heads (MAX_SPAN / 2^15 of
-# them) plus lists of 8 bytes per sieving prime from
-# 32768 up, which the pending list keeps between calls, and a partial 8 KiB
-# chunk per block (~0.9 MB near 10^12 at this span, ~16 MB near 10^15 and
-# ~18 MB there at MAX_SPAN), and its hits buffer reserves 16 bytes per slot
-# (16 MiB here) but touches them only at members; values=True adds an 8 MiB
-# int64 array per segment.
+# odd slots per segment, by default and at most; MAX_SPAN is the kernel's
+# MAX_BLOCKS x BLOCK
 DEFAULT_SPAN = 1 << 20
 MAX_SPAN = 1 << 24
 # Above every search (MAX_LIMIT + 2 < 2^51). Below it sigma(n) < 4n < 2^53,
@@ -142,7 +102,7 @@ _LOCAL = threading.local()
 
 def _hits(slots: int) -> tuple[np.ndarray, int]:
     """This thread's buffer of (slot, sigma) pairs, with room for `slots`,
-    and its address."""
+    and its address; the kernel touches its pages only at members."""
     hits = getattr(_LOCAL, "hits", None)
     if hits is None or len(hits[0]) < slots:
         buffer = np.empty((slots, 2), dtype=np.int64)
@@ -160,27 +120,33 @@ def _address(primes: np.ndarray) -> int:
     return table[1]
 
 
+def _check_bounds(lo: int, hi: int) -> None:
+    if lo < 1 or lo % 2 == 0:
+        raise ValueError(f"lo must be odd and >= 1, got {lo}")
+    if hi <= lo or hi % 2 == 0:
+        raise ValueError(f"hi must be odd and > lo, got [{lo}, {hi})")
+    if hi > MAX_HI:
+        raise ValueError(f"hi must be <= 2^51, got {hi}")
+    if (hi - lo) // 2 > MAX_SPAN:
+        raise ValueError(f"segment of {(hi - lo) // 2} odd slots exceeds maximum {MAX_SPAN}")
+
+
 class SigmaSegment:
     """sigma over the odd integers in [lo, hi); values[i] = sigma(lo + 2i).
 
     members holds, ascending, the slots i whose n = lo + 2i is a member:
     d = 2n - sigma(n) > 0 divides sigma(n); member_sigma holds their sigma
-    values (values[members], by default). A segment made without values
-    but with the primes sieves [lo, hi) again on the first read of values,
-    and keeps them.
+    values. A segment made without values but with the primes sieves
+    [lo, hi) again on the first read of values, and keeps them.
     """
 
-    def __init__(self, lo, hi, members, member_sigma=None, values=None, primes=None):
-        if lo < 1 or lo % 2 == 0:
-            raise ValueError(f"lo must be odd and >= 1, got {lo}")
-        if hi <= lo or hi % 2 == 0:
-            raise ValueError(f"hi must be odd-aligned and > lo, got {hi}")
+    def __init__(self, lo, hi, members, member_sigma, values=None, primes=None):
+        _check_bounds(lo, hi)
         if values is None and primes is None:
             raise ValueError("need the values or the primes to sieve them")
         if values is not None and len(values) != (hi - lo) // 2:
             raise ValueError("values length does not match [lo, hi)")
-        self.lo, self.hi, self.members = lo, hi, members
-        self.member_sigma = values[members] if member_sigma is None else member_sigma
+        self.lo, self.hi, self.members, self.member_sigma = lo, hi, members, member_sigma
         self._values, self._primes = values, primes
 
     @property
@@ -232,17 +198,8 @@ def sigma_segment(lo: int, hi: int, primes: np.ndarray, *, values: bool = True) 
     already holds, taking from `primes` only those above them; the check
     above still covers the gap above the list's largest entry.
     """
-    if lo < 1 or lo % 2 == 0:
-        raise ValueError(f"lo must be odd and >= 1, got {lo}")
-    if hi <= lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi})")
-    if hi % 2 == 0:
-        raise ValueError(f"hi must be odd-aligned (odd), got {hi}")
-    if hi > MAX_HI:
-        raise ValueError(f"hi must be <= 2^51, got {hi}")
+    _check_bounds(lo, hi)
     slots = (hi - lo) // 2
-    if slots > MAX_SPAN:
-        raise ValueError(f"segment of {slots} odd slots exceeds maximum {MAX_SPAN}")
     # the kernel skips 2 and stops at the first prime above sqrt(hi - 1)
     primes = np.ascontiguousarray(primes, dtype=np.int64)
     _check_prime_cover(primes, hi)

@@ -240,9 +240,18 @@ def test_fit_on_results_members_and_decades(tmp_path, capsys):
 
 
 def test_fit_requires_input(capsys):
-    code, _, err = run_cli(capsys, "fit")
-    assert code == 1
-    assert "--in or --points" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["fit"])
+    assert exc.value.code == 1
+    assert "one of the arguments --in --points is required" in capsys.readouterr().err
+
+
+def test_fit_rejects_both_inputs(tmp_path, capsys):
+    path = _make_results(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--in", str(path), "--points", str(path)])
+    assert exc.value.code == 1
+    assert "not allowed with argument --in" in capsys.readouterr().err
 
 
 def test_density_csv_output(tmp_path, capsys):

@@ -104,11 +104,19 @@ def test_scan_segment_matches_membership(lo):
     assert any(s >= 2 * n for n, s in sigmas.items())  # abundant slots, d <= 0
     expected = []
     for n, s in sigmas.items():
-        x = check_membership(n, s)
-        if x is not None:
-            expected.append((n, s, x))
+        if check_membership(n, s) is not None:
+            expected.append((n, s))
     assert expected
     assert _scan_segment(lo, hi, sieve_primes(isqrt(hi))) == expected
+
+
+def test_record_for_takes_the_witness_from_check_membership():
+    # sigma(9) = 13 and d = 18 - 13 = 5 does not divide it: not a member,
+    # so a kernel that reported it has a bug
+    with pytest.raises(AssertionError, match="n=9"):
+        search._record_for(9, 13)
+    rec = search._record_for(9018009, 18035199)
+    assert (rec.n, rec.x, rec.product_class) == (9018009, 22021, ProductClass.ODD_SPOOF)
 
 
 def test_limit_bound(tmp_path):

@@ -391,11 +391,11 @@ def test_rejects_hi_above_bound():
 
 
 def test_segment_type_invariants():
-    none = np.empty(0, dtype=np.int64)
+    none, ones = np.empty(0, dtype=np.int64), np.ones(4, dtype=np.int64)
     with pytest.raises(ValueError):
-        SigmaSegment(lo=2, hi=11, values=np.ones(4, dtype=np.int64), members=none)
+        SigmaSegment(lo=2, hi=11, members=none, member_sigma=none, values=ones)
     with pytest.raises(ValueError):
-        SigmaSegment(lo=1, hi=11, values=np.ones(4, dtype=np.int64), members=none)
+        SigmaSegment(lo=1, hi=11, members=none, member_sigma=none, values=ones)
 
 
 def _warm_call_faults(primes):
