@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from math import log
+from math import isfinite, log
 
 __all__ = [
     "Histogram",
@@ -114,7 +114,7 @@ def density_series(members, limit: int) -> list[tuple[int, Fraction]]:
 def fit_alpha(points, weighting: str = "poisson") -> DensityFit:
     """Least-squares alpha for count ~ alpha * log(k), natural log.
 
-    `points` are (k, count) pairs with k >= 2. The default minimizes
+    `points` are finite (k, count) pairs with k >= 2. The default minimizes
     sum((count - alpha*log k)^2 / log k), i.e. weights each squared
     residual by 1/log(k); counts have variance roughly proportional to
     their size, and this keeps early decades from being swamped, giving
@@ -126,6 +126,8 @@ def fit_alpha(points, weighting: str = "poisson") -> DensityFit:
     pts = [(float(k), float(c)) for k, c in points]
     if not pts:
         raise ValueError("need at least one point")
+    if not all(isfinite(k) and isfinite(c) for k, c in pts):
+        raise ValueError("every k and count must be finite")
     if any(k < 2 for k, _ in pts):
         raise ValueError("all k must be >= 2")
     logs = [log(k) for k, _ in pts]
@@ -181,19 +183,17 @@ def ratio_decimal(value: Fraction) -> str:
     return format(context.divide(Decimal(num), Decimal(den)).normalize(context), "f")
 
 
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def decade_csv(rows: list[tuple[int, int]]) -> str:
-    lines = ["k,cumulative,delta"]
-    lines += [f"{k},{cum},{delta}" for k, (cum, delta) in enumerate(rows, start=1)]
-    return "\n".join(lines) + "\n"
+    return _csv("k,cumulative,delta", ((k, *row) for k, row in enumerate(rows, start=1)))
 
 
 def histogram_csv(hist: Histogram) -> str:
-    lines = ["label,count"]
-    lines += [f"{label},{count}" for label, count in zip(hist.labels, hist.counts)]
-    return "\n".join(lines) + "\n"
+    return _csv("label,count", zip(hist.labels, hist.counts))
 
 
 def density_csv(series: list[tuple[int, Fraction]]) -> str:
-    lines = ["n,ratio"]
-    lines += [f"{n},{ratio_decimal(ratio)}" for n, ratio in series]
-    return "\n".join(lines) + "\n"
+    return _csv("n,ratio", ((n, ratio_decimal(ratio)) for n, ratio in series))

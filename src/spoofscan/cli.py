@@ -101,8 +101,6 @@ def cmd_search(args) -> int:
 
 def cmd_check(args) -> int:
     n = args.n
-    if n < 1 or n % 2 == 0:
-        return _fail(f"n must be odd and >= 1, got {n}")
     sigma_n = sigma_single(n)
     x = check_membership(n, sigma_n)
     print(f"n = {n}")
@@ -131,42 +129,27 @@ def cmd_spoof_check(args) -> int:
 
 
 def cmd_verify_descartes(args) -> int:
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{label}  {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
-
     sigma_n = sigma_single(DESCARTES_N)
-    check(f"sigma({DESCARTES_N}) = {sigma_n}", sigma_n == 18035199)
     x = check_membership(DESCARTES_N, sigma_n)
-    check(f"witness x = {x}", x == DESCARTES_X)
-    factors = factorize(DESCARTES_X)
-    check(
-        f"{DESCARTES_X} = 19^2*61, composite",
-        factors == [(19, 2), (61, 1)],
-    )
     cls = classify_witness(DESCARTES_X)
-    check(f"product class = {cls.value}", cls.value == "ODD_SPOOF")
-    record = MemberRecord(n=DESCARTES_N, x=DESCARTES_X, product_class=cls)
-    qpf = witness_factorization(record)
-    check(
-        f"witness factorization = {format_factorization(qpf)}",
-        qpf.pairs == ((3, 2), (7, 2), (11, 2), (13, 2), (22021, 1)),
-    )
+    qpf = witness_factorization(MemberRecord(n=DESCARTES_N, x=DESCARTES_X, product_class=cls))
     d_value = expand(qpf)
-    check(f"D = {DESCARTES_N} * {DESCARTES_X} = {d_value}", d_value == DESCARTES_D)
+    qpf_text = format_factorization(qpf)
     sigma_spoof = spoof_sigma(qpf)
-    check(
-        f"spoof_sigma = {sigma_spoof} = 2 * {DESCARTES_D}",
-        sigma_spoof == 2 * DESCARTES_D,
-    )
-    check(
-        f"spoof class = {classify_spoof(qpf).value}",
-        classify_spoof(qpf).value == "SPOOF_PERFECT",
-    )
+    spoof_cls = classify_spoof(qpf)
+    checks = [
+        (f"sigma({DESCARTES_N}) = {sigma_n}", sigma_n == 18035199),
+        (f"witness x = {x}", x == DESCARTES_X),
+        (f"{DESCARTES_X} = 19^2*61, composite", factorize(DESCARTES_X) == [(19, 2), (61, 1)]),
+        (f"product class = {cls.value}", cls.value == "ODD_SPOOF"),
+        (f"witness factorization = {qpf_text}", qpf_text == "3^2*7^2*11^2*13^2*22021"),
+        (f"D = {DESCARTES_N} * {DESCARTES_X} = {d_value}", d_value == DESCARTES_D),
+        (f"spoof_sigma = {sigma_spoof} = 2 * {DESCARTES_D}", sigma_spoof == 2 * DESCARTES_D),
+        (f"spoof class = {spoof_cls.value}", spoof_cls.value == "SPOOF_PERFECT"),
+    ]
+    for label, ok in checks:
+        print(f"{label}  {'ok' if ok else 'FAIL'}")
+    failures = sum(not ok for _, ok in checks)
     if failures:
         print(f"{failures} check(s) FAILED")
         return 1
@@ -186,9 +169,14 @@ def _complete_decades(limit: int, members: list[int]) -> list[tuple[int, int]]:
     return decade_counts([n for n in members if n <= 10**k_max], k_max)
 
 
+def _read_members(path: str) -> tuple[int, list[int]]:
+    """The limit and the ascending member values of a results file."""
+    limit, records = read_results(path)
+    return limit, [rec.n for rec in records]
+
+
 def cmd_analyze(args) -> int:
-    limit, records = read_results(args.infile)
-    members = [rec.n for rec in records]
+    limit, members = _read_members(args.infile)
     decades = _complete_decades(limit, members)
     residues = residue_histogram(members, args.mod)
     digits = ending_digit_histogram(members)
@@ -217,31 +205,39 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _read_points_csv(path: str) -> list[tuple[float, float]]:
-    points = []
+def _two_field_rows(path: str, sep: str | None, form: str):
+    """(line number, fields) of each row of a two-field text file, blank
+    lines and '#' comments skipped; `form` names the expected row."""
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path} line {lineno}: expected 'k,count'")
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                # only line 1 may be a header row
-                if lineno > 1:
-                    raise ValueError(f"{path} line {lineno}: expected numbers 'k,count'") from None
+            fields = line.split(sep)
+            if len(fields) != 2:
+                raise ValueError(f"{path} line {lineno}: expected '{form}'")
+            yield lineno, fields
+
+
+def _read_points_csv(path: str) -> list[tuple[float, float]]:
+    points = []
+    for lineno, (k, count) in _two_field_rows(path, ",", "k,count"):
+        try:
+            points.append((float(k), float(count)))
+        except ValueError:
+            # only line 1 may be a header row
+            if lineno > 1:
+                raise ValueError(f"{path} line {lineno}: expected numbers 'k,count'") from None
     return points
 
 
 def cmd_fit(args) -> int:
     if args.points:
+        if args.decades:
+            return _fail("--decades applies to --in only, not --points")
         points = _read_points_csv(args.points)
     else:
-        limit, records = read_results(args.infile)
-        members = [rec.n for rec in records]
+        limit, members = _read_members(args.infile)
         if args.decades:
             rows = _complete_decades(limit, members)
             if not rows:
@@ -259,38 +255,29 @@ def cmd_fit(args) -> int:
 
 
 def cmd_density(args) -> int:
-    limit, records = read_results(args.infile)
-    series = density_series([rec.n for rec in records], limit)
-    csv_text = density_csv(series)
+    limit, members = _read_members(args.infile)
+    csv_text = density_csv(density_series(members, limit))
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(csv_text)
-    print(f"wrote {len(series)} density points to {args.out}")
+    print(f"wrote {len(members)} density points to {args.out}")
     return 0
 
 
 def _read_bfile(path: str) -> list[tuple[int, int]]:
     terms = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path} line {lineno}: expected '<index> <value>'")
-            try:
-                index, value = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: non-integer field") from None
-            if index < 1:
-                raise ValueError(f"{path} line {lineno}: index must be >= 1")
-            terms.append((index, value))
+    for lineno, (index, value) in _two_field_rows(path, None, "<index> <value>"):
+        try:
+            index, value = int(index), int(value)
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: non-integer field") from None
+        if index < 1:
+            raise ValueError(f"{path} line {lineno}: index must be >= 1")
+        terms.append((index, value))
     return terms
 
 
 def cmd_compare(args) -> int:
-    _, records = read_results(args.infile)
-    members = [rec.n for rec in records]
+    _, members = _read_members(args.infile)
     terms = _read_bfile(args.bfile)
     if not terms:
         print("agreement over empty range")
@@ -318,6 +305,8 @@ def cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spoofscan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    results_in = argparse.ArgumentParser(add_help=False)
+    results_in.add_argument("--in", dest="infile", required=True, help="results file")
 
     p = sub.add_parser("search", help="search all odd n up to a limit")
     p.add_argument("--limit", type=int, required=True, help="search bound (inclusive)")
@@ -353,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify_descartes)
 
-    p = sub.add_parser("analyze", help="tables for a results file")
-    p.add_argument("--in", dest="infile", required=True, help="results file")
+    p = sub.add_parser("analyze", parents=[results_in], help="tables for a results file")
     p.add_argument("--mod", type=int, default=8, help="residue histogram modulus")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
     p.set_defaults(func=cmd_analyze)
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--in", dest="infile", help="results file (fit at member points)")
     source.add_argument("--points", help="CSV file of k,count pairs to fit instead")
     p.add_argument(
-        "--decades", action="store_true", help="fit at decade points instead"
+        "--decades", action="store_true", help="with --in: fit at decade points instead"
     )
     p.add_argument(
         "--weighting",
@@ -374,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("density", help="write the density series CSV")
-    p.add_argument("--in", dest="infile", required=True, help="results file")
+    p = sub.add_parser("density", parents=[results_in], help="write the density series CSV")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("compare", help="compare results against an OEIS b-file")
-    p.add_argument("--in", dest="infile", required=True, help="results file")
+    p = sub.add_parser(
+        "compare", parents=[results_in], help="compare results against an OEIS b-file"
+    )
     p.add_argument("--bfile", required=True, help="b-file path ('<index> <value>' lines)")
     p.set_defaults(func=cmd_compare)
 
@@ -392,8 +380,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IntegrityError, ValueError) as exc:
-        # ValueError covers spoof.ParseError
+    except (IntegrityError, ValueError, OverflowError) as exc:
+        # ValueError covers spoof.ParseError; OverflowError is the 128-bit
+        # ceiling on spoof expressions
         return _fail(str(exc))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,12 +53,16 @@ class MemberRecord:
             raise ValueError(f"witness must be >= 1, got {self.x}")
 
 
-def check_membership(n: int, sigma_n: int) -> int | None:
-    """Witness x if n is in S, else None. Divisibility form."""
+def _check_arguments(n: int, sigma_n: int) -> None:
     if sigma_n <= 0:
         raise ValueError(f"sigma(n) must be positive, got {sigma_n}")
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
+
+
+def check_membership(n: int, sigma_n: int) -> int | None:
+    """Witness x if n is in S, else None. Divisibility form."""
+    _check_arguments(n, sigma_n)
     d = 2 * n - sigma_n
     if d <= 0 or sigma_n % d != 0:
         return None
@@ -70,10 +74,7 @@ def check_membership_fraction(n: int, sigma_n: int) -> int | None:
 
     Reduces sigma(n)/(2n) and accepts when den - num = 1.
     """
-    if sigma_n <= 0:
-        raise ValueError(f"sigma(n) must be positive, got {sigma_n}")
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 1, got {n}")
+    _check_arguments(n, sigma_n)
     frac = reduce_fraction(sigma_n, 2 * n)
     if frac.den - frac.num != 1:
         return None

@@ -18,6 +18,7 @@ is meaningful here and the ceiling keeps results portable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,11 +71,11 @@ class QuasiPrimeFactorization:
                 raise ValueError(f"base must be >= 2, got {b}")
             if e < 1:
                 raise ValueError(f"exponent must be >= 1, got {e}")
-        prod = 1
-        for b, e in self.pairs:
-            prod *= b**e
-            if prod > UINT128_MAX:
-                raise OverflowError("expansion exceeds 128 bits")
+        # b^e >= 2^(e*(bit_length(b) - 1)), so a sum of 128 or more
+        # overflows and is rejected before any power is computed
+        low_bits = sum(e * (b.bit_length() - 1) for b, e in self.pairs)
+        if low_bits >= 128 or expand(self) > UINT128_MAX:
+            raise OverflowError("expansion exceeds 128 bits")
 
     def __iter__(self):
         return iter(self.pairs)
@@ -131,6 +132,22 @@ def witness_factorization(record: MemberRecord) -> QuasiPrimeFactorization:
     return QuasiPrimeFactorization(tuple(pairs))
 
 
+# one term with the whitespace around it: base digits, then an optional
+# '^' and exponent digits; both digit groups may be empty so that the
+# parser can report where the missing integer belongs
+_TERM = re.compile(r"[ \t]*([0-9]*)[ \t]*(?:\^[ \t]*([0-9]*))?[ \t]*")
+
+
+def _term_int(term: re.Match, group: int, what: str, least: int) -> int:
+    """The integer in a group of a _TERM match, at least `least`."""
+    if not term.group(group):
+        raise ParseError(f"expected integer {what}", term.start(group))
+    value = int(term.group(group))
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value} at offset {term.start(group)}")
+    return value
+
+
 def parse_factorization(text: str) -> QuasiPrimeFactorization:
     """Parse ``term ('*' term)*`` with ``term = integer ('^' integer)?``.
 
@@ -138,39 +155,15 @@ def parse_factorization(text: str) -> QuasiPrimeFactorization:
     exponent means 1. Syntax errors raise ParseError with the byte
     offset; base < 2 or exponent 0 raise plain ValueError.
     """
-    pos = 0
-    size = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < size and text[pos] in " \t":
-            pos += 1
-
-    def read_int(what: str) -> tuple[int, int]:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < size and text[pos].isascii() and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError(f"expected {what}", start)
-        return int(text[start:pos]), start
-
     pairs = []
+    pos = 0
     while True:
-        base, base_at = read_int("integer base")
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base} at offset {base_at}")
-        exponent = 1
-        skip_ws()
-        if pos < size and text[pos] == "^":
-            pos += 1
-            exponent, exp_at = read_int("integer exponent")
-            if exponent < 1:
-                raise ValueError(f"exponent must be >= 1, got {exponent} at offset {exp_at}")
+        term = _TERM.match(text, pos)
+        base = _term_int(term, 1, "base", 2)
+        exponent = 1 if term.group(2) is None else _term_int(term, 2, "exponent", 1)
         pairs.append((base, exponent))
-        skip_ws()
-        if pos >= size:
+        pos = term.end()
+        if pos == len(text):
             break
         if text[pos] != "*":
             raise ParseError(f"expected '*' or end of input, found {text[pos]!r}", pos)

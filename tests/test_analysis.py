@@ -116,6 +116,11 @@ def test_fit_validation():
         fit_alpha([(1, 5.0)])
     with pytest.raises(ValueError):
         fit_alpha([(10, 1.0)], weighting="cubic")
+    for bad in [math.nan, math.inf, -math.inf]:
+        with pytest.raises(ValueError):
+            fit_alpha([(bad, 5.0), (100, 3.0)])
+        with pytest.raises(ValueError):
+            fit_alpha([(10, bad), (100, 3.0)])
 
 
 def test_fit_on_known_decade_counts():

@@ -32,9 +32,17 @@ def test_check_non_member(capsys):
 
 
 def test_check_rejects_even(capsys):
-    code, _, err = run_cli(capsys, "check", "4")
+    code, out, err = run_cli(capsys, "check", "4")
     assert code == 1
-    assert "odd" in err
+    assert out == ""
+    assert err == "error: n must be odd and >= 1, got 4\n"
+
+
+def test_check_rejects_zero(capsys):
+    code, out, err = run_cli(capsys, "check", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: sigma is undefined for 0\n"
 
 
 def test_spoof_check_descartes(capsys):
@@ -54,6 +62,14 @@ def test_spoof_check_syntax_error(capsys):
     code, _, err = run_cli(capsys, "spoof-check", "3^")
     assert code == 1
     assert "offset 2" in err
+
+
+@pytest.mark.parametrize("expression", ["2^1000000000000", "3^1000000000", "2^128", "3^81"])
+def test_spoof_check_rejects_expansion_past_128_bits(capsys, expression):
+    code, out, err = run_cli(capsys, "spoof-check", expression)
+    assert code == 1
+    assert out == ""
+    assert err == "error: expansion exceeds 128 bits\n"
 
 
 def test_verify_descartes(capsys):
@@ -229,6 +245,27 @@ def test_fit_points_rejects_text_after_line_1(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("row", ["10,2,7", "nan,5", "inf,5", "10,nan"])
+def test_fit_points_rejects_bad_row(tmp_path, capsys, row):
+    csv = tmp_path / "points.csv"
+    csv.write_text(f"k,count\n100,3\n{row}\n")
+    code, out, err = run_cli(capsys, "fit", "--points", str(csv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    if row.count(",") > 1:
+        assert f"{csv} line 3: expected 'k,count'" in err
+
+
+def test_fit_points_rejects_decades(tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    csv.write_text("100,3\n1000,4\n")
+    code, out, err = run_cli(capsys, "fit", "--points", str(csv), "--decades")
+    assert code == 1
+    assert out == ""
+    assert "--decades" in err and "--in" in err
+
+
 def test_fit_on_results_members_and_decades(tmp_path, capsys):
     path = _make_results(tmp_path, capsys)
     code, out, _ = run_cli(capsys, "fit", "--in", str(path))
@@ -283,6 +320,24 @@ def test_compare_mismatch(tmp_path, capsys):
     assert code == 1
     assert "mismatch at index 3" in out
     assert "15" in out and "16" in out
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("3 15 7", "expected '<index> <value>'"),
+        ("3 fifteen", "non-integer field"),
+        ("0 1", "index must be >= 1"),
+    ],
+)
+def test_compare_rejects_bad_bfile_row(tmp_path, capsys, row, message):
+    path = _make_results(tmp_path, capsys)
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"# header\n1 1\n\n{row}\n")
+    code, out, err = run_cli(capsys, "compare", "--in", str(path), "--bfile", str(bfile))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bfile} line 4: {message}\n"
 
 
 def test_compare_empty_bfile(tmp_path, capsys):

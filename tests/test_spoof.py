@@ -93,6 +93,13 @@ def test_construction_validation():
         qpf((3, 0))
     with pytest.raises(OverflowError):
         qpf((2, 129))  # expansion above 2^128 - 1
+    assert expand(qpf((2, 127))) == 2**127
+    assert expand(qpf((3, 80))) == 3**80  # just below 2^127
+    # 2^(10^12) would take longer to compute than any test may run: the
+    # bit-length bound rejects these before any power is built
+    for pairs in [((2, 128),), ((3, 81),), ((2, 10**12),), ((3, 10**9),), ((3, 1),) * 1000]:
+        with pytest.raises(OverflowError):
+            qpf(*pairs)
 
 
 def test_spoof_sigma_overflow():
