@@ -30,6 +30,9 @@ __all__ = [
 
 # significant digits of a rendered ratio
 _RATIO_DIGITS = 17
+# largest residue_histogram modulus: it lists every reachable class
+# before it reads a member
+_MAX_MODULUS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,10 @@ def residue_histogram(members, modulus: int = 8) -> Histogram:
 
     Members are odd, so for an even modulus only the odd residue classes
     are reachable and only those are listed (mod 8 gives 1, 3, 5, 7).
+    The modulus is at most 2^16.
     """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if not 2 <= modulus <= _MAX_MODULUS:
+        raise ValueError(f"modulus must be in [2, {_MAX_MODULUS}], got {modulus}")
     labels = list(range(1, modulus, 2)) if modulus % 2 == 0 else list(range(modulus))
     index = {r: i for i, r in enumerate(labels)}
     counts = [0] * len(labels)

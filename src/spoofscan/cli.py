@@ -27,7 +27,6 @@ from .analysis import (
 from .membership import MemberRecord, check_membership, classify_witness
 from .search import (
     MAX_WORKERS,
-    TASK_SLOTS,
     IntegrityError,
     SearchConfig,
     read_results,
@@ -317,8 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-size",
         type=int,
         default=DEFAULT_SPAN,
-        help="odd slots per segment, the unit of checkpoints and progress; "
-        f"segments of fewer than {TASK_SLOTS} slots are sieved in batches",
+        help="odd slots per segment (1024 to 2^24): the size of each sieve call, "
+        "the progress step, and the segment ends where checkpoints may fall; "
+        "a checkpoint is written at the first segment end on or past each "
+        "multiple of 2^26 odd integers, and at the end",
     )
     p.add_argument("--out", required=True, help="results file (v1 format)")
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")

@@ -7,17 +7,25 @@ bytes are identical for any worker count or segment span. Segments go to
 the workers in tasks of k = max(1, TASK_SLOTS // segment_span)
 consecutive segments, so small segments cost one submit per batch, and
 the sieve kernel continues each segment of a task from where the one
-before it ended, on the same thread; at the default span k = 1. Tasks are submitted lazily, at most
-WINDOW_PER_WORKER x worker_count in flight, the one the writer is on
-included, so memory stays bounded at any limit. The writer still takes
-each segment on its own: every CHECKPOINT_EVERY segments, also in the
-middle of a task, it appends the member lines held since the last
-checkpoint, flushes them and then renames the new checkpoint into
-place. A search writes its first checkpoint before the results
-header, so the results file never holds lines past the checkpoint, and
-a run stopped at any point by Ctrl-C or an error resumes with no loss
-beyond the last checkpoint (a kill between the flush and the rename is
-not yet covered).
+before it ended, on the same thread; at the default span k = 1. Tasks
+are submitted lazily, at most WINDOW_PER_WORKER x worker_count in
+flight, the one the writer is on included, so memory stays bounded at
+any limit. The writer still takes each segment on its own. At the end of
+each segment that reaches or crosses a multiple of CHECKPOINT_SLOTS odd
+slots, counted from n = 1, and at the end of the run, it appends the
+member lines held since the last checkpoint, flushes them and then
+renames the new checkpoint into place. So when the span divides
+CHECKPOINT_SLOTS and the run started or resumed on a multiple of the
+span, every checkpoint but the last falls on a multiple of
+CHECKPOINT_SLOTS, at any worker count. A resume redoes the work since
+the last checkpoint: at most CHECKPOINT_SLOTS + segment_span - 1 odd
+slots that the writer had passed, plus the tasks in flight. A search
+writes its first checkpoint before the results header, so the results
+file never holds lines past the checkpoint. A run stopped by an error,
+by SIGKILL or by Ctrl-C resumes with no loss beyond the last checkpoint,
+except in one window: a kill or a Ctrl-C that lands between a
+checkpoint's flush and its rename leaves lines past the checkpoint, and
+resume refuses the pair with an IntegrityError.
 
 Results file v1 (text, LF, ASCII decimal):
 
@@ -61,8 +69,10 @@ MAX_LIMIT = 10**15
 # Most worker threads: the pool may start one OS thread per worker, and
 # WINDOW_PER_WORKER x workers tasks are in flight.
 MAX_WORKERS = 256
-# segments flushed between checkpoints
-CHECKPOINT_EVERY = 64
+# odd slots between checkpoints: the writer checkpoints at the end of each
+# segment that reaches or crosses a multiple of it (every 64 segments at
+# the default span)
+CHECKPOINT_SLOTS = 1 << 26
 # odd slots per task, unless one segment is larger: segments go to the
 # workers TASK_SLOTS // span at a time, so the submit, the future and the
 # wake-up of a task, all under the GIL, are paid once per ~2^18 slots
@@ -191,7 +201,7 @@ def _run(
     starts = range(first_slot, total, span)
     per_task = max(1, TASK_SLOTS // span)
     records: list[MemberRecord] = []
-    lines: list[str] = []
+    flushed = 0  # records already in the results file
 
     def in_order(pool):
         """(hi, hits) of each segment in turn, one task of per_task segments
@@ -205,31 +215,29 @@ def _run(
         for future in window:
             yield from future.result()
 
-    def checkpoint_now(next_lo: int) -> None:
-        # member lines reach the file only here, flushed before the checkpoint
-        # names them, so an interrupted run never leaves lines past it
-        fh.write("".join(lines))
-        fh.flush()
-        lines.clear()
-        if config.checkpoint_path is not None:
-            _write_checkpoint(
-                config.checkpoint_path, Checkpoint(config.limit, next_lo, found)
-            )
-
     pool = ThreadPoolExecutor(max_workers=config.worker_count)
     try:
         with open(config.results_path, "a", encoding="ascii", newline="\n") as fh:
             for done, (hi, hits) in enumerate(in_order(pool), start=1):
-                for n, sigma_n in hits:
-                    rec = _record_for(n, sigma_n)
-                    records.append(rec)
-                    lines.append(f"{rec.n}\t{rec.x}\t{rec.product_class.value}\n")
-                    found += 1
-                if done == len(starts) or done % CHECKPOINT_EVERY == 0:
-                    checkpoint_now(hi)
+                records.extend(_record_for(n, sigma_n) for n, sigma_n in hits)
+                # every segment but the last ends span slots after it starts, so
+                # it reaches or crosses a multiple of CHECKPOINT_SLOTS exactly
+                # when its end lies less than span slots past one
+                end = (hi - 1) // 2
+                if end == total or end % CHECKPOINT_SLOTS < span:
+                    # member lines reach the file only here, flushed before the
+                    # checkpoint names them, so an interrupted run never leaves
+                    # lines past it
+                    held = records[flushed:]
+                    fh.write("".join(f"{r.n}\t{r.x}\t{r.product_class.value}\n" for r in held))
+                    fh.flush()
+                    flushed = len(records)
+                    if config.checkpoint_path is not None:
+                        cp = Checkpoint(config.limit, hi, found + flushed)
+                        _write_checkpoint(config.checkpoint_path, cp)
                 # after the checkpoint: a callback that raises stops on it
                 if progress is not None:
-                    progress(done, len(starts), found)
+                    progress(done, len(starts), found + len(records))
     finally:
         # drop queued tasks when unwinding on an interrupt or an error
         pool.shutdown(cancel_futures=True)

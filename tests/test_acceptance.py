@@ -142,7 +142,7 @@ def test_c06_determinism_and_resume(tmp_path, monkeypatch):
         if done == 4:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 4)
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", 4 << 16)
     with pytest.raises(KeyboardInterrupt):
         search_range(interrupted, progress=interrupt)
     assert read_checkpoint(interrupted.checkpoint_path).next_lo == 1 + 2 * 4 * (1 << 16)

@@ -56,6 +56,14 @@ def test_residue_histogram_empty_and_odd_modulus():
     assert hist.counts == [2, 1, 0]  # 3 and 15 are 0 mod 3, 1 is 1 mod 3
 
 
+def test_residue_histogram_modulus_bounds():
+    hist = residue_histogram([1, 3, 65535], 1 << 16)
+    assert len(hist.labels) == 1 << 15 and hist.total() == 3
+    for modulus in (1, (1 << 16) + 1, 10**12):
+        with pytest.raises(ValueError, match="modulus"):
+            residue_histogram([1], modulus)
+
+
 def test_residue_histogram_rejects_even_member():
     with pytest.raises(ValueError):
         residue_histogram([2], 8)

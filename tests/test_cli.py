@@ -186,6 +186,18 @@ def test_analyze_text(tmp_path, capsys):
     assert "ending digit" in out
 
 
+def test_analyze_mod_bounds(tmp_path, capsys):
+    path = _make_results(tmp_path, capsys, limit=100)
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path), "--mod", str(1 << 16))
+    assert code == 0
+    assert "residue mod 65536" in out
+    assert "\n         65535       0\n" in out
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path), "--mod", str((1 << 16) + 1))
+    assert code == 1
+    assert out == ""
+    assert err == "error: modulus must be in [2, 65536], got 65537\n"
+
+
 def test_analyze_limit_between_decades(tmp_path, capsys):
     # members above the last complete decade must not break the table
     path = _make_results(tmp_path, capsys, limit=2000)
@@ -394,8 +406,9 @@ def test_search_ctrl_c_exits_130(tmp_path, capsys, monkeypatch, checkpoint, mess
 
 
 def test_search_ctrl_c_before_first_checkpoint_resumes(tmp_path, capsys, monkeypatch):
-    # 49 segments, fewer than CHECKPOINT_EVERY: only the checkpoint written
-    # before the results header exists when Ctrl-C lands in segment 3
+    # 49 segments of 1024, far fewer slots than CHECKPOINT_SLOTS: only the
+    # checkpoint written before the results header exists when Ctrl-C lands
+    # in segment 3
     argv = ["search", "--limit", "100000", "--segment-size", "1024"]
     full, out, cp = tmp_path / "full.txt", tmp_path / "r.txt", tmp_path / "cp.txt"
     assert run_cli(capsys, *argv, "--out", str(full))[0] == 0

@@ -23,8 +23,8 @@ from spoofscan.sieve import MAX_HI
 
 def interrupt_at(segment):
     """A progress callback that stops a run after `segment` segments, as
-    Ctrl-C does; it stops on a checkpoint when CHECKPOINT_EVERY divides
-    `segment`."""
+    Ctrl-C does; it stops on a checkpoint when segment x span is a multiple
+    of CHECKPOINT_SLOTS."""
 
     def progress(done, total, found):
         if done == segment:
@@ -153,7 +153,7 @@ def test_interrupt_and_resume_byte_identical(tmp_path, monkeypatch):
         segment_span=1024,
         worker_count=2,
     )
-    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 20)
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", 20 * 1024)
     with pytest.raises(KeyboardInterrupt):
         search_range(config, progress=interrupt_at(20))
     cp = read_checkpoint(config.checkpoint_path)
@@ -187,7 +187,7 @@ def test_resume_detects_found_count_mismatch(tmp_path, monkeypatch):
         checkpoint_path=tmp_path / "cp.txt",
         segment_span=1024,
     )
-    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 10)
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", 10 * 1024)
     with pytest.raises(KeyboardInterrupt):
         search_range(config, progress=interrupt_at(10))
     cp = read_checkpoint(config.checkpoint_path)
@@ -304,7 +304,7 @@ def test_traced_names_are_called_through_the_module(tmp_path, monkeypatch):
     check([r for r in records if r.n >= next_lo], starts[-8:], 1)
 
 
-def test_ctrl_c_leaves_resumable_pair(tmp_path, search_1e6):
+def test_ctrl_c_leaves_resumable_pair(tmp_path, search_1e6, monkeypatch):
     config = SearchConfig(
         limit=10**6,
         results_path=tmp_path / "part.txt",
@@ -312,8 +312,10 @@ def test_ctrl_c_leaves_resumable_pair(tmp_path, search_1e6):
         segment_span=1024,
         worker_count=2,
     )
-    # segment 10 of 489 comes before CHECKPOINT_EVERY: the run stops on the
-    # checkpoint the search wrote before the results header
+    # checkpoints every 64 segments, as at the default span: segment 10 of
+    # 489 comes before the first, so the run stops on the checkpoint the
+    # search wrote before the results header
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", 64 * 1024)
     with pytest.raises(KeyboardInterrupt):
         search_range(config, progress=interrupt_at(10))
     assert read_checkpoint(config.checkpoint_path) == Checkpoint(10**6, 1, 0)
@@ -357,38 +359,45 @@ def test_in_flight_window_is_bounded(tmp_path, monkeypatch):
 
 
 def test_task_edges_keep_bytes_and_checkpoints(tmp_path, monkeypatch):
-    # tasks of 3 segments against checkpoints every 4: checkpoints fall in
-    # the middle of tasks, and the last of the 49 segments is a task alone
+    # tasks of 3 segments against checkpoints every 8192 slots, 8 segments of
+    # 1024: checkpoints fall in the middle of tasks, and the last of the 49
+    # segments is a task alone
     written = []
+    shipped = search.CHECKPOINT_SLOTS
 
     def write_checkpoint(path, cp, inner=search._write_checkpoint):
         written.append(cp.next_lo)
         inner(path, cp)
 
     monkeypatch.setattr(search, "_write_checkpoint", write_checkpoint)
-    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 4)
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", 8192)
 
-    def config(name, workers):
+    def config(name, workers, span=1024, limit=10**5):
         return SearchConfig(
-            limit=10**5,
+            limit=limit,
             results_path=tmp_path / name,
             checkpoint_path=tmp_path / (name + ".cp"),
-            segment_span=1024,
+            segment_span=span,
             worker_count=workers,
         )
 
-    def searched(per_task, cfg, **kwargs):
+    def searched(per_task, cfg, run=search_range, **kwargs):
         monkeypatch.setattr(search, "TASK_SLOTS", per_task * 1024)
         written.clear()
-        search_range(cfg, **kwargs)
+        run(cfg, **kwargs)
         return cfg.results_path.read_bytes()
 
     expected = searched(1, config("one.txt", 1))
     checkpoints = list(written)
-    assert len(checkpoints) == 1 + 12 + 1  # before the header, every 4th, the last
+    # before the header, at each of the 6 multiples of 8192 slots, the last
+    assert checkpoints == [1] + [1 + 2 * 8192 * k for k in range(1, 7)] + [10**5 + 1]
     for workers in (1, 2):
         assert searched(3, config(f"three-{workers}.txt", workers)) == expected
         assert written == checkpoints
+        # the same grid at every span that divides it
+        for span in (2048, 4096, 8192):
+            assert searched(1, config(f"span-{span}-{workers}.txt", workers, span)) == expected
+            assert written == checkpoints, span
 
     # segment 8 is the middle one of the third task
     part = config("part.txt", 2)
@@ -397,6 +406,29 @@ def test_task_edges_keep_bytes_and_checkpoints(tmp_path, monkeypatch):
     assert read_checkpoint(part.checkpoint_path).next_lo == 1 + 2 * 8 * 1024
     resume(part)
     assert part.results_path.read_bytes() == expected
+
+    # a resume from a checkpoint off the grid, after 5 segments of 1024,
+    # writes the grid's remaining checkpoints; with segments of 4096 from
+    # there, each at the first segment end past a multiple of 8192
+    next_lo = 1 + 2 * 5 * 1024
+    header, *lines = expected.decode().splitlines(keepends=True)
+    kept = [line for line in lines if int(line.split("\t")[0]) < next_lo]
+    for span, grid in [
+        (1024, checkpoints[1:]),
+        (4096, [1 + 2 * (8192 * k + 1024) for k in range(1, 6)] + [10**5 + 1]),
+    ]:
+        resumed = config(f"resumed-{span}.txt", 2, span)
+        resumed.results_path.write_text(header + "".join(kept))
+        resumed.checkpoint_path.write_text(f"limit={10**5}\nnext={next_lo}\nfound={len(kept)}\n")
+        assert searched(3, resumed, run=resume) == expected
+        assert written == grid, span
+        assert read_checkpoint(resumed.checkpoint_path).found_count == len(lines)
+
+    # a search shaped like fine-1e7 (1221 segments of 4096, 64 to a task) at
+    # the shipped cadence checkpoints before the header and at the end only
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", shipped)
+    searched(256, config("fine.txt", 2, span=4096, limit=10**7))
+    assert written == [1, 10**7 + 1]
 
 
 def test_memory_bounded_at_max_limit(tmp_path, monkeypatch):
@@ -407,7 +439,7 @@ def test_memory_bounded_at_max_limit(tmp_path, monkeypatch):
         segment_span=1024,
         worker_count=2,
     )
-    monkeypatch.setattr(search, "CHECKPOINT_EVERY", 2)
+    monkeypatch.setattr(search, "CHECKPOINT_SLOTS", 2 * 1024)
     with pytest.raises(KeyboardInterrupt):
         search_range(config, progress=interrupt_at(2))
     _, records = read_results(config.results_path)
